@@ -12,6 +12,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// An owned JSON-like value tree. Object entries preserve insertion order
 /// so serialized field order matches declaration order, like serde.
@@ -173,6 +174,21 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+// `Arc` is transparent, as in upstream serde's `rc` feature: a shared
+// value serializes exactly like the value itself, and deserializing
+// allocates a fresh, unshared one.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
@@ -308,6 +324,14 @@ mod tests {
     fn absent_fields_only_ok_for_option() {
         assert!(<Option<u32> as Deserialize>::absent().is_some());
         assert!(<u32 as Deserialize>::absent().is_none());
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        let shared = Arc::new(vec![1u32, 2]);
+        assert_eq!(shared.to_value(), vec![1u32, 2].to_value());
+        let back = Arc::<Vec<u32>>::from_value(&shared.to_value()).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

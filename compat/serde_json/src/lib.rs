@@ -1,6 +1,12 @@
 //! Offline stand-in for `serde_json`: renders and parses JSON text over
 //! the value tree of the vendored `serde` stub. Covers the API this
 //! workspace calls: `to_string`, `to_string_pretty`, `from_str`, `Error`.
+//!
+//! The parser recurses once per array or object level, so nesting is
+//! capped at [`RECURSION_LIMIT`] (upstream's default): a deeper input is
+//! an [`Error`], never a stack overflow. Daemon request frames, the job
+//! journal and artifact stores all come through here, and an overflow
+//! aborts the process where no `catch_unwind` can contain it.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -35,10 +41,14 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts.
+pub const RECURSION_LIMIT: usize = 128;
+
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         chars: s.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -134,6 +144,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -189,50 +201,70 @@ impl Parser {
                 Ok(Value::Bool(false))
             }
             Some('"') => Ok(Value::Str(self.parse_string()?)),
-            Some('[') => {
+            Some(c @ ('[' | '{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error(format!(
+                        "recursion limit exceeded: nesting deeper than {RECURSION_LIMIT} \
+                         levels at offset {}",
+                        self.pos
+                    )));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.bump()? {
-                        ',' => {}
-                        ']' => return Ok(Value::Arr(items)),
-                        c => return Err(Error(format!("expected `,` or `]`, found `{c}`"))),
-                    }
-                }
-            }
-            Some('{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some('}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.bump()? {
-                        ',' => {}
-                        '}' => return Ok(Value::Obj(entries)),
-                        c => return Err(Error(format!("expected `,` or `}}`, found `{c}`"))),
-                    }
-                }
+                self.depth += 1;
+                let v = if c == '[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
             }
             Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(Error(format!("unexpected character `{c}`"))),
             None => Err(Error("unexpected end of input".into())),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn parse_array(&mut self) -> Result<Value, Error> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.bump()? {
+                ',' => {}
+                ']' => return Ok(Value::Arr(items)),
+                c => return Err(Error(format!("expected `,` or `]`, found `{c}`"))),
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn parse_object(&mut self) -> Result<Value, Error> {
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some('}') {
+            self.pos += 1;
+            return Ok(Value::Obj(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.bump()? {
+                ',' => {}
+                '}' => return Ok(Value::Obj(entries)),
+                c => return Err(Error(format!("expected `,` or `}}`, found `{c}`"))),
+            }
         }
     }
 
@@ -356,6 +388,44 @@ mod tests {
         let json = to_string(&vec![1.5f64, -0.25]).unwrap();
         let back: Vec<f64> = from_str(&json).unwrap();
         assert_eq!(back, vec![1.5, -0.25]);
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_errors() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Objects and arrays share one depth count.
+        let mixed = r#"{"a":"#.repeat(RECURSION_LIMIT) + "[]" + &"}".repeat(RECURSION_LIMIT);
+        assert!(from_str::<Value>(&mixed).is_err());
+    }
+
+    /// 20 000 unclosed `[` used to overflow the stack, which aborts the
+    /// whole process, so the input runs in a child process: the parent
+    /// passes only if the child exits cleanly.
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        const CHILD_ENV: &str = "SERDE_JSON_DEEP_NESTING_CHILD";
+        if std::env::var_os(CHILD_ENV).is_some() {
+            for deep in ["[".repeat(20_000), r#"{"k":"#.repeat(20_000)] {
+                let err = from_str::<Value>(&deep).unwrap_err();
+                assert!(err.to_string().contains("recursion limit"), "{err}");
+            }
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::deep_nesting_is_an_error_not_an_abort"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env(CHILD_ENV, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "child died ({}): {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nassim_datasets::{catalog::Catalog, manualgen, style};
 use nassim_parser::{parser_for, run_parser, ParsedPage};
 use nassim_validator::derive_hierarchy;
+use std::sync::Arc;
 
-fn parsed_pages(extra: usize) -> Vec<ParsedPage> {
+fn parsed_pages(extra: usize) -> Vec<Arc<ParsedPage>> {
     let catalog = Catalog::with_scale(extra);
     let st = style::vendor("helix").unwrap();
     let manual = manualgen::generate(

@@ -5,12 +5,17 @@
 //!
 //! | stage artifact                    | content key                         |
 //! |-----------------------------------|-------------------------------------|
-//! | [`PageRecord`] (parse, per page)  | [`nassim_parser::page_key`]         |
-//! | [`PageSyntax`] (audit, per page)  | [`nassim_validator::syntax_key`]    |
-//! | compiled CGM graphs (per page)    | [`nassim_validator::graph_key`]     |
-//! | hierarchy evidence (per page)     | corpus template fingerprint + page fields |
-//! | derivation + VDM build (corpus)   | FNV over the ordered page keys ([`corpus_key`]) |
-//! | leaf embeddings (per UDM leaf)    | [`nassim_mapper::leaf_embedding_key`] |
+//! | [`PageRecord`] (parse, per page)  | [`nassim_parser::page_key`]: FNV-1a over vendor, URL, budget and the HTML's [`nassim_corpus::digest64`] |
+//! | [`PageSyntax`] (audit, per page)  | [`nassim_validator::syntax_key`] (FNV-1a) |
+//! | compiled CGM graphs (per page)    | [`nassim_validator::graph_key`] (FNV-1a) |
+//! | hierarchy evidence (per page)     | corpus template fingerprint + page fields (FNV-1a) |
+//! | derivation (corpus, in memory)    | FNV-1a over the ordered page keys ([`corpus_key`]) |
+//! | leaf embeddings (per UDM leaf)    | [`nassim_mapper::leaf_embedding_key`] (FNV-1a) |
+//!
+//! The VDM build is not cached: it is a cheap pure function of the
+//! parsed pages and the derivation, and every revision changes the
+//! corpus key, so a cached copy would only be a deep copy of the VDM
+//! that no revision ever reads. Per-section checksums stay FNV-1a.
 //!
 //! The [`ArtifactStore`] keeps them behind `Arc`s so re-assimilating an
 //! edited manual shares every clean page's artifacts with the previous
@@ -36,15 +41,17 @@
 //! destination, and the directory is fsynced ([`crate::atomic_write`])
 //! — a kill at any byte leaves either the old committed store or the
 //! new one, never a tear, at worst plus an orphaned `*.tmp.*` sibling
-//! that the next successful save sweeps and loads ignore. Five
+//! that the next successful save sweeps and loads ignore. Six
 //! sections are persisted — parse records, syntax audits, compiled CGM
-//! graph sources, hierarchy evidence and the embedding cache — each
-//! guarded by an FNV-1a checksum in the `checksums` footer. The
-//! in-memory derived stage (hierarchy + build) is the only artifact not
+//! graph sources, hierarchy evidence, the embedding cache and the ANN
+//! indexes — each guarded by an FNV-1a checksum in the `checksums`
+//! footer. The in-memory derivation is the only cached artifact not
 //! persisted directly; it is reconstructed from the cached graphs and
 //! evidence, which is what makes a reload cheap.
 //!
-//! A magic + schema-version header guards against foreign files, loads
+//! A magic + schema-version header guards against foreign files (the
+//! version history is on [`SCHEMA_VERSION`]; a store from an older
+//! version is the typed [`NassimError::ArtifactOutdated`]), loads
 //! are size-capped ([`MAX_STORE_BYTES`]) against adversarial inputs,
 //! and any corruption surfaces as the typed
 //! [`NassimError::ArtifactCorrupt`] rather than a panic or a silently
@@ -80,12 +87,19 @@ use std::sync::Arc;
 /// open with this magic is rejected before any field is interpreted.
 const MAGIC: &str = "NASSIM-ARTIFACTS";
 
-/// Bumped on any change to the persisted layout; a mismatch is a typed
-/// corruption error, never a best-effort partial load. v2 added the
-/// `graphs` and `evidence` sections and the per-section `checksums`
-/// footer; v3 added the `ann` section (sub-linear retrieval indexes keyed
-/// by pooled-corpus hash).
-const SCHEMA_VERSION: i64 = 3;
+/// Bumped on any change to the persisted layout or to how a persisted
+/// key is computed; never a best-effort partial load. An older version
+/// is the typed [`NassimError::ArtifactOutdated`] (its keys would all
+/// miss, so a caller that can rebuild starts cold); a newer or unknown
+/// one is [`NassimError::ArtifactCorrupt`].
+///
+/// | version | change |
+/// |---|---|
+/// | v1 | `pages` and `syntax` sections |
+/// | v2 | `graphs` and `evidence` sections, per-section `checksums` footer |
+/// | v3 | `ann` section (sub-linear retrieval indexes keyed by pooled-corpus hash) |
+/// | v4 | page keys hash the HTML with [`nassim_corpus::digest64`] instead of FNV-1a |
+const SCHEMA_VERSION: i64 = 4;
 
 /// Ceiling on the bytes a store load will read. A corrupt length field
 /// cannot exist in JSON, but a multi-GB file (disk corruption, an
@@ -112,14 +126,6 @@ pub struct StoreStats {
     pub derived_misses: usize,
 }
 
-/// The corpus-level derived stage (hierarchy derivation + VDM build),
-/// cached as one unit because both are functions of the full ordered
-/// page set.
-struct DerivedStage {
-    derivation: Derivation,
-    build: VdmBuild,
-}
-
 /// Content-addressed store of pipeline stage artifacts for one vendor.
 ///
 /// All artifacts are `Arc`-shared: a lookup hit costs a reference-count
@@ -142,10 +148,11 @@ pub struct ArtifactStore {
     /// by the pooled-corpus hash: a UDM or embedder change changes the
     /// hash, so a stale index is never served.
     pub ann: AnnCache,
-    /// The corpus-level derived stage, keyed by the FNV of the ordered
+    /// The last hierarchy derivation, keyed by the FNV of the ordered
     /// page keys (in-memory only; rebuilt from the graph + evidence
-    /// caches after a reload).
-    derived: Option<(u64, Arc<DerivedStage>)>,
+    /// caches after a reload). The VDM build is not cached: it is cheap
+    /// next to a deep copy of the VDM, and a revision always misses.
+    derived: Option<(u64, Derivation)>,
     pub stats: StoreStats,
 }
 
@@ -221,7 +228,7 @@ impl ArtifactStore {
         };
         let value: Value =
             serde_json::from_str(&text).map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
-        check_header(&value).map_err(corrupt)?;
+        check_header(path, &value)?;
         let Some(Value::Obj(sums)) = value.get("checksums") else {
             return Err(corrupt("missing `checksums` footer".to_string()));
         };
@@ -290,7 +297,9 @@ impl ArtifactStore {
     /// Damage the header cannot absorb (unreadable or oversized file,
     /// invalid JSON, wrong magic, unknown schema version) still fails
     /// hard with [`NassimError::Io`] / [`NassimError::ArtifactCorrupt`]:
-    /// with no trustworthy frame there is nothing to salvage.
+    /// with no trustworthy frame there is nothing to salvage. An older
+    /// schema version is [`NassimError::ArtifactOutdated`], as in
+    /// [`ArtifactStore::load`].
     pub fn load_lossy(path: &Path) -> Result<(ArtifactStore, Vec<Diagnostic>), NassimError> {
         let text = read_store_bounded(path)?;
         let corrupt = |reason: String| NassimError::ArtifactCorrupt {
@@ -299,7 +308,7 @@ impl ArtifactStore {
         };
         let value: Value =
             serde_json::from_str(&text).map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
-        check_header(&value).map_err(corrupt)?;
+        check_header(path, &value)?;
 
         let mut diagnostics = Vec::new();
         let mut warn = |message: String| {
@@ -586,40 +595,29 @@ impl ArtifactStore {
     /// disk).
     pub fn hierarchy_stage(&mut self, parse: &ParseRun, page_keys: &[u64]) -> Derivation {
         let ckey = corpus_key(page_keys);
-        if let Some((k, stage)) = &self.derived {
+        if let Some((k, derivation)) = &self.derived {
             if *k == ckey {
                 self.stats.derived_hits += 1;
-                return stage.derivation.clone();
+                return derivation.clone();
             }
         }
         self.stats.derived_misses += 1;
-        derive_hierarchy_cached(&parse.pages, &mut self.graphs, &mut self.evidence)
+        let derivation = derive_hierarchy_cached(&parse.pages, &mut self.graphs, &mut self.evidence);
+        self.derived = Some((ckey, derivation.clone()));
+        derivation
     }
 
-    /// VDM build stage against the store; caches (derivation, build) as
-    /// one corpus-keyed unit so a warm rerun replays both.
+    /// VDM build stage: a pure function of the parsed pages and the
+    /// derivation, rebuilt on every call. `page_keys` is unused and kept
+    /// so the four stages share one calling convention.
     pub fn build_stage(
         &mut self,
         vendor: &str,
         parse: &ParseRun,
-        page_keys: &[u64],
+        _page_keys: &[u64],
         derivation: &Derivation,
     ) -> VdmBuild {
-        let ckey = corpus_key(page_keys);
-        if let Some((k, stage)) = &self.derived {
-            if *k == ckey {
-                return stage.build.clone();
-            }
-        }
-        let build = build_vdm(vendor, &parse.pages, derivation);
-        self.derived = Some((
-            ckey,
-            Arc::new(DerivedStage {
-                derivation: derivation.clone(),
-                build: build.clone(),
-            }),
-        ));
-        build
+        build_vdm(vendor, &parse.pages, derivation)
     }
 }
 
@@ -658,18 +656,31 @@ fn read_store_bounded(path: &Path) -> Result<String, NassimError> {
 }
 
 /// Magic + schema gate shared by both loads.
-fn check_header(value: &Value) -> Result<(), String> {
+fn check_header(path: &Path, value: &Value) -> Result<(), NassimError> {
+    let corrupt = |reason: String| NassimError::ArtifactCorrupt {
+        path: path.display().to_string(),
+        reason,
+    };
     match value.get("magic") {
         Some(Value::Str(m)) if m == MAGIC => {}
-        Some(Value::Str(m)) => return Err(format!("bad magic `{m}` (expected `{MAGIC}`)")),
-        _ => return Err("missing magic header".to_string()),
+        Some(Value::Str(m)) => {
+            return Err(corrupt(format!("bad magic `{m}` (expected `{MAGIC}`)")))
+        }
+        _ => return Err(corrupt("missing magic header".to_string())),
     }
     match value.get("schema_version") {
         Some(Value::Num(v)) if *v == SCHEMA_VERSION as f64 => Ok(()),
-        Some(Value::Num(v)) => Err(format!(
+        Some(Value::Num(v)) if v.fract() == 0.0 && (1.0..SCHEMA_VERSION as f64).contains(v) => {
+            Err(NassimError::ArtifactOutdated {
+                path: path.display().to_string(),
+                found: *v as i64,
+                expected: SCHEMA_VERSION,
+            })
+        }
+        Some(Value::Num(v)) => Err(corrupt(format!(
             "unsupported schema version {v} (expected {SCHEMA_VERSION})"
-        )),
-        _ => Err("missing schema version".to_string()),
+        ))),
+        _ => Err(corrupt("missing schema version".to_string())),
     }
 }
 
@@ -1274,7 +1285,9 @@ mod tests {
     fn corrupt_stores_are_typed_errors() {
         let dir = std::env::temp_dir().join("nassim-artifact-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        let cases: [(&str, &str); 4] = [
+        let missing_sections =
+            format!("{{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":{SCHEMA_VERSION}}}");
+        let cases: [(&str, &str); 5] = [
             ("garbage.json", "not json at all {{{"),
             ("magic.json", "{\"magic\":\"SOMETHING-ELSE\",\"schema_version\":2}"),
             (
@@ -1282,9 +1295,10 @@ mod tests {
                 "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":999}",
             ),
             (
-                "missing.json",
-                "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":2}",
+                "fractional.json",
+                "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":2.5}",
             ),
+            ("missing.json", &missing_sections),
         ];
         for (name, content) in cases {
             let path = dir.join(name);
@@ -1298,6 +1312,23 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+        // An intact older store is outdated, not corrupt, in both loads.
+        let path = dir.join("outdated.json");
+        std::fs::write(&path, "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":3}").unwrap();
+        for outcome in [
+            ArtifactStore::load(&path).err(),
+            ArtifactStore::load_lossy(&path).err(),
+        ] {
+            match outcome {
+                Some(NassimError::ArtifactOutdated {
+                    found: 3,
+                    expected: SCHEMA_VERSION,
+                    ..
+                }) => {}
+                other => panic!("expected ArtifactOutdated, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
         // A missing file is an I/O error, not corruption.
         match ArtifactStore::load(&dir.join("no-such-file.json")) {
             Err(NassimError::Io { .. }) => {}

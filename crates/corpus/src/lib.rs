@@ -23,6 +23,6 @@ pub mod udm;
 pub mod vdm;
 
 pub use format::{CorpusCheck, CorpusEntry, CorpusViolation, ParaDef};
-pub use hash::{fnv1a_bytes, fnv1a_str, Fnv1a};
+pub use hash::{digest64, fnv1a_bytes, fnv1a_str, Fnv1a};
 pub use udm::{Udm, UdmAttribute, UdmNodeId};
 pub use vdm::{Vdm, VdmNode, VdmNodeId};

@@ -365,6 +365,14 @@ pub enum NassimError {
     /// A saved artifact store failed to load: missing magic, unsupported
     /// schema version, or structurally corrupt contents.
     ArtifactCorrupt { path: String, reason: String },
+    /// A saved artifact store is intact but was written under an older
+    /// schema version whose keys this build no longer computes. Nothing
+    /// in it can be reused; callers that can rebuild start cold.
+    ArtifactOutdated {
+        path: String,
+        found: i64,
+        expected: i64,
+    },
     /// A seeded `CrashPlan` kill point fired inside the persistence
     /// layer (torn temp write, partial rename, torn journal append).
     /// Only ever produced under `NASSIM_CRASH` or an explicit test
@@ -410,6 +418,7 @@ impl NassimError {
             NassimError::Hierarchy { .. } => Stage::Hierarchy,
             NassimError::Device { .. } => Stage::Device,
             NassimError::ArtifactCorrupt { .. } => Stage::Internal,
+            NassimError::ArtifactOutdated { .. } => Stage::Internal,
             NassimError::CrashInjected { .. } => Stage::Internal,
             NassimError::JournalTorn { .. } => Stage::Internal,
             NassimError::Io { .. } => Stage::Internal,
@@ -476,6 +485,15 @@ impl fmt::Display for NassimError {
             NassimError::ArtifactCorrupt { path, reason } => {
                 write!(f, "artifact store `{path}` is corrupt: {reason}")
             }
+            NassimError::ArtifactOutdated {
+                path,
+                found,
+                expected,
+            } => write!(
+                f,
+                "artifact store `{path}` has schema version {found}, \
+                 older than this build's {expected}"
+            ),
             NassimError::CrashInjected { path, point } => {
                 write!(f, "injected crash at kill point `{point}` while persisting `{path}`")
             }

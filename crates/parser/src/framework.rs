@@ -9,11 +9,12 @@
 //! problematic/empty `CLIs` fields, with links back to the manual) and a
 //! *status of corpus* (every problematic field of every entry).
 
-use nassim_corpus::{CorpusEntry, CorpusViolation, Fnv1a};
+use nassim_corpus::{digest64, CorpusEntry, CorpusViolation, Fnv1a};
 use nassim_diag::{Diagnostic, NassimError, Severity, SourceSpan, Stage};
 use nassim_html::{BudgetExhausted, Document, IngestBudget, MarkupDefect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One successfully parsed manual page.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -195,7 +196,10 @@ impl fmt::Display for TddReport {
 /// The outcome of running a parser over a manual.
 #[derive(Debug, Clone)]
 pub struct ParseRun {
-    pub pages: Vec<ParsedPage>,
+    /// The parsed pages in page order, shared with the [`PageRecord`]s
+    /// they were folded from: a fold over cached records bumps
+    /// reference counts instead of copying pages.
+    pub pages: Vec<Arc<ParsedPage>>,
     pub report: TddReport,
     /// Structured findings: markup defects with page-URL + byte-offset
     /// spans, and per-page parse failures. Never aborts the run.
@@ -226,8 +230,9 @@ impl DefectRecord {
 /// How one page left the parser.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PageDisposition {
-    /// The page produced a corpus entry.
-    Parsed { page: ParsedPage },
+    /// The page produced a corpus entry (shared with every
+    /// [`ParseRun`] folded from this record).
+    Parsed { page: Arc<ParsedPage> },
     /// The parser deliberately declined the page (preface, index).
     Skipped,
     /// The parser rejected the page outright.
@@ -255,10 +260,13 @@ pub struct PageRecord {
 
 /// Content key of one page's parse artifact: FNV-1a over the vendor,
 /// URL, raw HTML and every budget ceiling, length-framed so field
-/// boundaries are unambiguous.
+/// boundaries are unambiguous. The HTML — the only bulky field, hashed
+/// for every page of every revision — enters as its length and its
+/// word-at-a-time [`digest64`] rather than byte by byte.
 pub fn page_key(vendor: &str, url: &str, html: &str, budget: &IngestBudget) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_field(vendor).write_field(url).write_field(html);
+    h.write_field(vendor).write_field(url);
+    h.write_usize(html.len()).write_u64(digest64(html.as_bytes()));
     h.write_usize(budget.max_bytes)
         .write_usize(budget.max_tokens)
         .write_usize(budget.max_nodes)
@@ -357,7 +365,9 @@ pub fn page_record(
     PageRecord {
         url: url.to_string(),
         disposition: match outcome {
-            Ok(Some(page)) => PageDisposition::Parsed { page },
+            Ok(Some(page)) => PageDisposition::Parsed {
+                page: Arc::new(page),
+            },
             Ok(None) => PageDisposition::Skipped,
             Err(error) => PageDisposition::Rejected { error },
         },
@@ -456,7 +466,7 @@ pub fn fold_page_records<'a>(
                 }
                 report.key_attr_problems.extend(record.key_attr.clone());
                 report.corpus_status.extend(record.status.clone());
-                parsed_pages.push(page.clone());
+                parsed_pages.push(Arc::clone(page));
             }
             PageDisposition::Skipped if defects.is_empty() => {
                 report.skipped += 1;

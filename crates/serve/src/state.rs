@@ -7,7 +7,10 @@
 //! against a persisted store warm-starts: clean artifacts are cache
 //! hits, and a partially corrupt store degrades gracefully via
 //! [`ArtifactStore::load_lossy`] — dropped entries surface as startup
-//! diagnostics and are re-derived, never trusted. Because artifacts are
+//! diagnostics and are re-derived, never trusted. A store written under
+//! an older schema version holds only keys this build never computes,
+//! so it starts the daemon cold with one startup diagnostic (the next
+//! save replaces it). Because artifacts are
 //! content-addressed and the build is deterministic, a warm-started
 //! daemon serves **byte-identical** responses to a cold-started one —
 //! the crash-recovery property `tests/serve_drain.rs` asserts.
@@ -153,11 +156,20 @@ impl ServeState {
     pub fn build(opts: &StateOptions) -> Result<(ServeState, ArtifactStore), NassimError> {
         let mut startup_diagnostics = Vec::new();
         let mut store = match &opts.store_path {
-            Some(path) if path.exists() => {
-                let (store, diags) = ArtifactStore::load_lossy(path)?;
-                startup_diagnostics = diags;
-                store
-            }
+            Some(path) if path.exists() => match ArtifactStore::load_lossy(path) {
+                Ok((store, diags)) => {
+                    startup_diagnostics = diags;
+                    store
+                }
+                Err(e @ NassimError::ArtifactOutdated { .. }) => {
+                    startup_diagnostics.push(Diagnostic::warning(
+                        Stage::Internal,
+                        format!("{e}; starting cold"),
+                    ));
+                    ArtifactStore::new()
+                }
+                Err(e) => return Err(e),
+            },
             _ => ArtifactStore::new(),
         };
 
@@ -289,6 +301,39 @@ mod tests {
             cold.mapper.candidate_count(),
             warm.mapper.candidate_count()
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn outdated_store_starts_cold_with_one_diagnostic() {
+        let dir = std::env::temp_dir().join("nassim-serve-outdated-store");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        // An intact store header from schema v3, the layout before page
+        // keys hashed HTML with the word-at-a-time digest.
+        std::fs::write(
+            &path,
+            r#"{"magic":"NASSIM-ARTIFACTS","schema_version":3,"pages":{},"syntax":{},"graphs":{},"evidence":{},"embeddings":{},"ann":{},"checksums":{}}"#,
+        )
+        .unwrap();
+        let opts = StateOptions::default().with_store(&path);
+        let (state, store) = ServeState::build(&opts).unwrap();
+        assert_eq!(state.warm_page_hits, 0, "an outdated store is never reused");
+        assert_eq!(state.startup_diagnostics.len(), 1, "{:?}", state.startup_diagnostics);
+        let message = &state.startup_diagnostics[0].message;
+        assert!(message.contains("schema version 3"), "{message}");
+        assert!(message.contains("starting cold"), "{message}");
+        // The cold build serves the same catalog as a store-less one.
+        let (fresh, _) = ServeState::build(&StateOptions::default()).unwrap();
+        assert_eq!(
+            state.vendors.get("cirrus").unwrap().vdm,
+            fresh.vendors.get("cirrus").unwrap().vdm
+        );
+        // Saving replaces the outdated store; the next start is warm.
+        ServeState::save_store(&store, &path).unwrap();
+        let (warm, _) = ServeState::build(&opts).unwrap();
+        assert!(warm.warm_page_hits > 0);
+        assert!(warm.startup_diagnostics.iter().all(|d| !d.message.contains("schema")));
         std::fs::remove_file(&path).ok();
     }
 }

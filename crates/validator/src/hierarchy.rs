@@ -25,6 +25,7 @@ use nassim_corpus::Fnv1a;
 use nassim_parser::ParsedPage;
 use nassim_syntax::parse_template;
 use serde::{DeError, Value};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,7 +93,8 @@ impl Derivation {
 
     /// Every ambiguous view as a `hierarchy`-stage warning diagnostic,
     /// with candidate opener pages (URL × votes) named for expert review.
-    pub fn diagnostics(&self, pages: &[ParsedPage]) -> Vec<nassim_diag::Diagnostic> {
+    /// `pages` is the derivation's input slice, owned or shared.
+    pub fn diagnostics<P: Borrow<ParsedPage>>(&self, pages: &[P]) -> Vec<nassim_diag::Diagnostic> {
         self.ambiguous
             .iter()
             .map(|a| a.to_diagnostic(pages))
@@ -103,11 +105,11 @@ impl Derivation {
 impl AmbiguousView {
     /// The expert-review warning for this view. The span points at the
     /// leading candidate opener's page when there is one.
-    pub fn to_diagnostic(&self, pages: &[ParsedPage]) -> nassim_diag::Diagnostic {
+    pub fn to_diagnostic<P: Borrow<ParsedPage>>(&self, pages: &[P]) -> nassim_diag::Diagnostic {
         let url_of = |pi: usize| {
             pages
                 .get(pi)
-                .map(|p| p.url.as_str())
+                .map(|p| p.borrow().url.as_str())
                 .unwrap_or("<unknown page>")
         };
         let message = match self.reason {
@@ -336,10 +338,10 @@ impl CorpusGraphs {
     /// Graph compilation fans out per page; the head/headless buckets are
     /// filled back in page order, so the index layout matches a serial
     /// build exactly.
-    pub fn build(pages: &[ParsedPage]) -> CorpusGraphs {
+    pub fn build<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> CorpusGraphs {
         let per_page: Vec<Arc<PageGraphs>> =
             nassim_exec::par_map_chunked(pages, CGM_MIN_CHUNK, |page| {
-                Arc::new(compile_page_graphs(page))
+                Arc::new(compile_page_graphs(page.borrow()))
             });
         CorpusGraphs::assemble(per_page)
     }
@@ -348,8 +350,11 @@ impl CorpusGraphs {
     /// whose CLI set is already in `cache` skip compilation entirely;
     /// misses compile in one fan-out and are inserted for next time.
     /// The assembled index is identical to an uncached build.
-    pub fn build_cached(pages: &[ParsedPage], cache: &mut GraphCache) -> CorpusGraphs {
-        let keys: Vec<u64> = pages.iter().map(graph_key).collect();
+    pub fn build_cached<P: Borrow<ParsedPage> + Sync>(
+        pages: &[P],
+        cache: &mut GraphCache,
+    ) -> CorpusGraphs {
+        let keys: Vec<u64> = pages.iter().map(|p| graph_key(p.borrow())).collect();
         let mut per_page: Vec<Option<Arc<PageGraphs>>> =
             keys.iter().map(|k| cache.entries.get(k).cloned()).collect();
         let missing: Vec<usize> = per_page
@@ -362,7 +367,7 @@ impl CorpusGraphs {
         cache.misses += missing.len();
         let compiled: Vec<Arc<PageGraphs>> =
             nassim_exec::par_map_chunked(&missing, CGM_MIN_CHUNK, |&i| {
-                Arc::new(compile_page_graphs(&pages[i]))
+                Arc::new(compile_page_graphs(pages[i].borrow()))
             });
         for (&i, artifact) in missing.iter().zip(compiled) {
             cache.entries.insert(keys[i], artifact.clone());
@@ -371,7 +376,7 @@ impl CorpusGraphs {
         let per_page = per_page
             .into_iter()
             .enumerate()
-            .map(|(i, a)| a.unwrap_or_else(|| Arc::new(compile_page_graphs(&pages[i]))))
+            .map(|(i, a)| a.unwrap_or_else(|| Arc::new(compile_page_graphs(pages[i].borrow()))))
             .collect();
         CorpusGraphs::assemble(per_page)
     }
@@ -675,7 +680,7 @@ impl EvidenceCache {
 }
 
 /// Derive the hierarchy of a parsed corpus.
-pub fn derive_hierarchy(pages: &[ParsedPage]) -> Derivation {
+pub fn derive_hierarchy<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> Derivation {
     let t0 = Instant::now();
     let corpus = CorpusGraphs::build(pages);
     let cgm_build_time = t0.elapsed();
@@ -688,8 +693,8 @@ pub fn derive_hierarchy(pages: &[ParsedPage]) -> Derivation {
 /// [`evidence_key`]), so a prose-only page edit re-collects nothing and
 /// a CLI edit anywhere re-collects everything — either way the output is
 /// identical to [`derive_hierarchy`] (modulo wall-clock stats).
-pub fn derive_hierarchy_cached(
-    pages: &[ParsedPage],
+pub fn derive_hierarchy_cached<P: Borrow<ParsedPage> + Sync>(
+    pages: &[P],
     graphs: &mut GraphCache,
     evidence: &mut EvidenceCache,
 ) -> Derivation {
@@ -701,13 +706,13 @@ pub fn derive_hierarchy_cached(
     let mut fp = Fnv1a::new();
     fp.write_usize(pages.len());
     for page in pages {
-        fp.write_u64(graph_key(page));
+        fp.write_u64(graph_key(page.borrow()));
     }
     let fingerprint = fp.finish();
     let keys: Vec<u64> = pages
         .iter()
         .enumerate()
-        .map(|(pi, page)| evidence_key(fingerprint, pi, page))
+        .map(|(pi, page)| evidence_key(fingerprint, pi, page.borrow()))
         .collect();
     let mut per_page: Vec<Option<Arc<PageEvidence>>> =
         keys.iter().map(|k| evidence.entries.get(k).cloned()).collect();
@@ -721,7 +726,7 @@ pub fn derive_hierarchy_cached(
     evidence.misses += missing.len();
     let fresh: Vec<Arc<PageEvidence>> =
         nassim_exec::par_map_chunked(&missing, EVIDENCE_MIN_CHUNK, |&i| {
-            Arc::new(collect_page_evidence(i, &pages[i], &corpus))
+            Arc::new(collect_page_evidence(i, pages[i].borrow(), &corpus))
         });
     for (&i, ev) in missing.iter().zip(fresh) {
         evidence.entries.insert(keys[i], ev.clone());
@@ -730,7 +735,9 @@ pub fn derive_hierarchy_cached(
     let per_page: Vec<Arc<PageEvidence>> = per_page
         .into_iter()
         .enumerate()
-        .map(|(i, e)| e.unwrap_or_else(|| Arc::new(collect_page_evidence(i, &pages[i], &corpus))))
+        .map(|(i, e)| {
+            e.unwrap_or_else(|| Arc::new(collect_page_evidence(i, pages[i].borrow(), &corpus)))
+        })
         .collect();
     fold_evidence(pages, per_page.iter().map(|e| e.as_ref()), cgm_build_time, t1)
 }
@@ -814,8 +821,8 @@ fn collect_page_evidence(pi: usize, page: &ParsedPage, corpus: &CorpusGraphs) ->
     ev
 }
 
-fn derive_from_graphs(
-    pages: &[ParsedPage],
+fn derive_from_graphs<P: Borrow<ParsedPage> + Sync>(
+    pages: &[P],
     corpus: &CorpusGraphs,
     cgm_build_time: Duration,
 ) -> Derivation {
@@ -825,7 +832,7 @@ fn derive_from_graphs(
     // stage ran at 0.64× serial — the overhead outweighed the work).
     let evidence: Vec<PageEvidence> =
         nassim_exec::par_map_indexed_chunked(pages, EVIDENCE_MIN_CHUNK, |pi, page| {
-            collect_page_evidence(pi, page, corpus)
+            collect_page_evidence(pi, page.borrow(), corpus)
         });
     fold_evidence(pages, evidence.iter(), cgm_build_time, t1)
 }
@@ -833,8 +840,8 @@ fn derive_from_graphs(
 /// Merge per-page evidence (in page order) into the vote tallies and
 /// aggregate. Shared by the cold and cached derivations, so equal
 /// evidence always folds to an equal [`Derivation`].
-fn fold_evidence<'a>(
-    pages: &[ParsedPage],
+fn fold_evidence<'a, P: Borrow<ParsedPage>>(
+    pages: &[P],
     evidence: impl Iterator<Item = &'a PageEvidence>,
     cgm_build_time: Duration,
     t1: Instant,
@@ -878,7 +885,7 @@ fn fold_evidence<'a>(
     }
     // Views referenced as working views but never derived and not roots.
     for page in pages {
-        for view in &page.entry.parent_views {
+        for view in &page.borrow().entry.parent_views {
             if !openers.contains_key(view)
                 && !root_votes.contains_key(view)
                 && !ambiguous.iter().any(|a| &a.view == view)

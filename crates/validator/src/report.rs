@@ -111,12 +111,13 @@ mod tests {
     use crate::hierarchy::derive_hierarchy;
     use crate::syntax_stage::audit_corpus;
     use nassim_corpus::Vdm;
+    use nassim_parser::ParsedPage;
 
     #[test]
     fn report_renders_all_table4_rows() {
         let vdm = Vdm::new("helix", "system view");
-        let audit = audit_corpus(&[]);
-        let derivation = derive_hierarchy(&[]);
+        let audit = audit_corpus::<ParsedPage>(&[]);
+        let derivation = derive_hierarchy::<ParsedPage>(&[]);
         let report = VdmConstructionReport::assemble(
             "helix",
             "Helix/NE40E/2021",

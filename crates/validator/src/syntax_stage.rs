@@ -8,6 +8,7 @@
 
 use nassim_corpus::Fnv1a;
 use nassim_parser::ParsedPage;
+use std::borrow::Borrow;
 use nassim_syntax::{validate_template, SyntaxDiagnosis};
 use serde::{Deserialize, Serialize};
 
@@ -84,9 +85,9 @@ impl SyntaxAudit {
 /// BENCH_parallel.json); chunks amortise the spawn cost.
 const AUDIT_MIN_CHUNK: usize = 64;
 
-pub fn audit_corpus(pages: &[ParsedPage]) -> SyntaxAudit {
+pub fn audit_corpus<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> SyntaxAudit {
     let per_page: Vec<PageSyntax> =
-        nassim_exec::par_map_chunked(pages, AUDIT_MIN_CHUNK, audit_page);
+        nassim_exec::par_map_chunked(pages, AUDIT_MIN_CHUNK, |p| audit_page(p.borrow()));
     fold_page_syntax(per_page.iter())
 }
 

@@ -9,6 +9,7 @@
 use crate::hierarchy::{Derivation, ROOT_OPENER};
 use nassim_corpus::{Vdm, VdmNodeId};
 use nassim_parser::ParsedPage;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// The assembled VDM plus placement diagnostics.
@@ -23,13 +24,16 @@ pub struct VdmBuild {
 impl VdmBuild {
     /// Every unplaced page as a `build`-stage warning diagnostic spanned
     /// at its source page, so lossy construction is never silent.
-    pub fn diagnostics(&self, pages: &[ParsedPage]) -> Vec<nassim_diag::Diagnostic> {
+    pub fn diagnostics<P: Borrow<ParsedPage>>(&self, pages: &[P]) -> Vec<nassim_diag::Diagnostic> {
         self.unplaced_pages
             .iter()
             .map(|&pi| {
                 let (url, views) = pages
                     .get(pi)
-                    .map(|p| (p.url.as_str(), p.entry.parent_views.join(", ")))
+                    .map(|p| {
+                        let p: &ParsedPage = p.borrow();
+                        (p.url.as_str(), p.entry.parent_views.join(", "))
+                    })
                     .unwrap_or(("<unknown page>", String::new()));
                 nassim_diag::Diagnostic::warning(
                     nassim_diag::Stage::Build,
@@ -43,8 +47,13 @@ impl VdmBuild {
     }
 }
 
-/// Build the VDM of `vendor` from parsed pages and their derivation.
-pub fn build_vdm(vendor: &str, pages: &[ParsedPage], derivation: &Derivation) -> VdmBuild {
+/// Build the VDM of `vendor` from parsed pages (owned or shared) and
+/// their derivation.
+pub fn build_vdm<P: Borrow<ParsedPage>>(
+    vendor: &str,
+    pages: &[P],
+    derivation: &Derivation,
+) -> VdmBuild {
     let root_view = derivation
         .root_view
         .clone()
@@ -54,7 +63,7 @@ pub fn build_vdm(vendor: &str, pages: &[ParsedPage], derivation: &Derivation) ->
     // page index → corpus index in the VDM.
     let mut corpus_idx = Vec::with_capacity(pages.len());
     for page in pages {
-        corpus_idx.push(vdm.push_corpus(page.entry.clone()));
+        corpus_idx.push(vdm.push_corpus(page.borrow().entry.clone()));
     }
 
     // view name → opener page (ROOT_OPENER ⇒ root view).
@@ -69,7 +78,7 @@ pub fn build_vdm(vendor: &str, pages: &[ParsedPage], derivation: &Derivation) ->
     // Pages grouped by working view.
     let mut pages_in_view: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (pi, page) in pages.iter().enumerate() {
-        for view in &page.entry.parent_views {
+        for view in &page.borrow().entry.parent_views {
             pages_in_view.entry(view).or_default().push(pi);
         }
     }
@@ -92,7 +101,7 @@ pub fn build_vdm(vendor: &str, pages: &[ParsedPage], derivation: &Derivation) ->
                 .get(&pi)
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
-            for (ci, cli) in pages[pi].entry.clis.iter().enumerate() {
+            for (ci, cli) in pages[pi].borrow().entry.clis.iter().enumerate() {
                 // Only the primary form opens the sub-view; undo/no forms
                 // tear configuration down.
                 let enters = if ci == 0 { opens.first().copied() } else { None };
