@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .parse
         .pages
         .iter()
-        .map(|p| (p.url.as_str(), &p.entry))
+        .map(|p| (p.url.as_str(), &*p.entry))
         .collect();
 
     // ── Chaos run: every class at CORRUPT_RATE. ───────────────────────
@@ -145,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         clean_pages += 1;
         match out.parse.pages.iter().find(|p| p.url == *url) {
-            Some(p) if &&p.entry == entry => {}
+            Some(p) if &&*p.entry == entry => {}
             _ => {
                 parity = false;
                 eprintln!("  PARITY BREAK: clean page {url} changed or vanished");

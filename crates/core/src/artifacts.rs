@@ -9,13 +9,24 @@
 //! | [`PageSyntax`] (audit, per page)  | [`nassim_validator::syntax_key`] (FNV-1a) |
 //! | compiled CGM graphs (per page)    | [`nassim_validator::graph_key`] (FNV-1a) |
 //! | hierarchy evidence (per page)     | corpus template fingerprint + page fields (FNV-1a) |
-//! | derivation (corpus, in memory)    | FNV-1a over the ordered page keys ([`corpus_key`]) |
+//! | derivation (corpus, in memory)    | FNV-1a over the page count, the ordered [`nassim_validator::graph_key`]s and the ordered [`nassim_validator::evidence_fields_key`]s |
 //! | leaf embeddings (per UDM leaf)    | [`nassim_mapper::leaf_embedding_key`] (FNV-1a) |
 //!
+//! The derivation key covers exactly what a derivation is a function
+//! of, so a revision that only rewrites prose (function descriptions,
+//! parameter definitions) replays the cached derivation, while an edit
+//! to a CLI, working view, example, context path or `Enters:` marker, or
+//! a page added or removed, re-derives through the graph and evidence
+//! caches. The per-page keys the syntax and hierarchy stages read are
+//! memoized by page identity: a clean page is the same
+//! `Arc<ParsedPage>` as in the previous run, so it is hashed once, not
+//! once per revision. The memo holds only the most recent run's pages.
+//!
 //! The VDM build is not cached: it is a cheap pure function of the
-//! parsed pages and the derivation, and every revision changes the
-//! corpus key, so a cached copy would only be a deep copy of the VDM
-//! that no revision ever reads. Per-section checksums stay FNV-1a.
+//! parsed pages and the derivation. Corpus entries are shared, not
+//! copied — the VDM corpus holds the same `Arc<CorpusEntry>` as each
+//! parsed page — so a rebuild costs the node tree, not the manual.
+//! Per-section checksums stay FNV-1a.
 //!
 //! The [`ArtifactStore`] keeps them behind `Arc`s so re-assimilating an
 //! edited manual shares every clean page's artifacts with the previous
@@ -70,13 +81,15 @@ use nassim_diag::NassimError;
 use nassim_diag::{Diagnostic, Stage};
 use nassim_html::IngestBudget;
 use nassim_mapper::{AnnCache, EmbeddingCache, Mapper, RetrievalMode};
-use nassim_parser::{fold_page_records, page_records, PageRecord, ParseRun, VendorParser};
+use nassim_parser::{
+    fold_page_records, page_records, PageRecord, ParseRun, ParsedPage, VendorParser,
+};
 use nassim_validator::hierarchy::Derivation;
 use nassim_validator::syntax_stage::{PageSyntax, SyntaxAudit};
 use nassim_validator::vdm_build::VdmBuild;
 use nassim_validator::{
-    audit_page, build_vdm, derive_hierarchy_cached, fold_page_syntax, syntax_key, EvidenceCache,
-    GraphCache,
+    audit_page, build_vdm, derive_hierarchy_cached, evidence_fields_key, fold_page_syntax,
+    graph_key, syntax_key, EvidenceCache, GraphCache,
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
@@ -148,12 +161,83 @@ pub struct ArtifactStore {
     /// by the pooled-corpus hash: a UDM or embedder change changes the
     /// hash, so a stale index is never served.
     pub ann: AnnCache,
-    /// The last hierarchy derivation, keyed by the FNV of the ordered
-    /// page keys (in-memory only; rebuilt from the graph + evidence
-    /// caches after a reload). The VDM build is not cached: it is cheap
-    /// next to a deep copy of the VDM, and a revision always misses.
+    /// The last hierarchy derivation, keyed by [`derivation_key`]
+    /// (in-memory only; rebuilt from the graph + evidence caches after a
+    /// reload). The VDM build is not cached: it shares every entry with
+    /// the parsed pages, so a rebuild costs little more than a replay.
     derived: Option<(u64, Derivation)>,
+    /// Per-page keys of the most recent run's parsed pages.
+    keys: KeyMemo,
     pub stats: StoreStats,
+}
+
+/// The per-page content keys the syntax and hierarchy stages read.
+#[derive(Clone, Copy)]
+struct PageKeys {
+    /// [`syntax_key`]: URL + CLI forms.
+    syntax: u64,
+    /// [`graph_key`]: CLI forms.
+    graph: u64,
+    /// [`evidence_fields_key`]: the page-local evidence inputs.
+    evidence: u64,
+}
+
+impl PageKeys {
+    fn of(page: &ParsedPage) -> PageKeys {
+        PageKeys {
+            syntax: syntax_key(page),
+            graph: graph_key(page),
+            evidence: evidence_fields_key(page),
+        }
+    }
+}
+
+/// [`PageKeys`] memoized by page identity: each `Arc<ParsedPage>` is
+/// hashed once, and a clean page — the same `Arc`, shared from its
+/// cached [`PageRecord`] at the same position — costs a pointer compare
+/// after that. Holding the `Arc` pins its address, and a page behind an
+/// `Arc` is never mutated, so an identity match is always a content
+/// match. The memo holds exactly the pages of the most recent run. A
+/// page added or removed shifts the pages after it, which are re-hashed;
+/// such a revision re-derives the hierarchy anyway.
+#[derive(Default)]
+struct KeyMemo {
+    pages: Vec<Arc<ParsedPage>>,
+    keys: Vec<PageKeys>,
+}
+
+impl KeyMemo {
+    /// The keys of `pages`, in order; afterwards the memo holds `pages`.
+    fn keys_for(&mut self, pages: &[Arc<ParsedPage>]) -> &[PageKeys] {
+        let keys = pages
+            .iter()
+            .enumerate()
+            .map(|(i, page)| match (self.pages.get(i), self.keys.get(i)) {
+                (Some(old), Some(&keys)) if Arc::ptr_eq(old, page) => keys,
+                _ => PageKeys::of(page),
+            })
+            .collect();
+        self.pages = pages.to_vec();
+        self.keys = keys;
+        &self.keys
+    }
+}
+
+/// In-memory key of a cached [`Derivation`]: FNV over the page count,
+/// the ordered graph keys (the template fingerprint) and the ordered
+/// page-local evidence digests — everything a derivation is a function
+/// of. Prose, parameter definitions and URLs do not participate, so a
+/// revision that only rewrites them replays the cached derivation.
+fn derivation_key(keys: &[PageKeys]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_usize(keys.len());
+    for k in keys {
+        h.write_u64(k.graph);
+    }
+    for k in keys {
+        h.write_u64(k.evidence);
+    }
+    h.finish()
 }
 
 impl ArtifactStore {
@@ -169,6 +253,12 @@ impl ArtifactStore {
     /// Number of cached per-page syntax audits.
     pub fn syntax_count(&self) -> usize {
         self.syntax.len()
+    }
+
+    /// Number of parsed pages whose per-page keys are memoized: at most
+    /// the parsed-page count of the most recent run.
+    pub fn key_memo_len(&self) -> usize {
+        self.keys.pages.len()
     }
 
     /// Persist the store as versioned, checksummed JSON via
@@ -275,6 +365,7 @@ impl ArtifactStore {
             embeddings,
             ann,
             derived: None,
+            keys: KeyMemo::default(),
             stats: StoreStats::default(),
         })
     }
@@ -464,6 +555,7 @@ impl ArtifactStore {
                 embeddings,
                 ann,
                 derived: None,
+                keys: KeyMemo::default(),
                 stats: StoreStats::default(),
             },
             diagnostics,
@@ -511,7 +603,7 @@ impl ArtifactStore {
     /// record; misses are parsed in one chunked, panic-isolated fan-out
     /// (the cold path's own mechanism) and inserted. Returns the fold
     /// plus the ordered per-page content keys (the preimage of
-    /// [`corpus_key`], which addresses the later stages).
+    /// [`corpus_key`], which names the whole revision).
     pub fn parse_stage<'a>(
         &mut self,
         parser: &dyn VendorParser,
@@ -567,12 +659,12 @@ impl ArtifactStore {
     }
 
     /// §5.1 syntax stage against the store: per successfully parsed
-    /// page, keyed by URL + CLIs.
+    /// page, keyed by URL + CLIs (memoized per page).
     pub fn syntax_stage(&mut self, parse: &ParseRun) -> SyntaxAudit {
+        let keys = self.keys.keys_for(&parse.pages);
         let mut per_page: Vec<Arc<PageSyntax>> = Vec::with_capacity(parse.pages.len());
-        for page in &parse.pages {
-            let k = syntax_key(page);
-            match self.syntax.get(&k) {
+        for (page, k) in parse.pages.iter().zip(keys) {
+            match self.syntax.get(&k.syntax) {
                 Some(audit) => {
                     self.stats.syntax_hits += 1;
                     per_page.push(audit.clone());
@@ -580,7 +672,7 @@ impl ArtifactStore {
                 None => {
                     self.stats.syntax_misses += 1;
                     let audit = Arc::new(audit_page(page));
-                    self.syntax.insert(k, audit.clone());
+                    self.syntax.insert(k.syntax, audit.clone());
                     per_page.push(audit);
                 }
             }
@@ -588,22 +680,35 @@ impl ArtifactStore {
         fold_page_syntax(per_page.iter().map(|a| a.as_ref()))
     }
 
-    /// §5.2 hierarchy stage against the store: same ordered page keys →
-    /// replay the cached derivation; otherwise derive through the
-    /// per-page graph and evidence caches (clean pages reuse compiled
-    /// CGM graphs and collected evidence, including ones reloaded from
-    /// disk).
-    pub fn hierarchy_stage(&mut self, parse: &ParseRun, page_keys: &[u64]) -> Derivation {
-        let ckey = corpus_key(page_keys);
+    /// §5.2 hierarchy stage against the store: the same page count,
+    /// ordered graph keys and ordered page-local evidence digests
+    /// (`derivation_key`) → replay the cached derivation; otherwise
+    /// derive through the per-page graph and evidence caches (clean
+    /// pages reuse compiled CGM graphs and collected evidence, including
+    /// ones reloaded from disk). A replay reuses every page's graphs and
+    /// evidence, and counts one hit per page in each cache. `page_keys`
+    /// is unused, as in [`ArtifactStore::build_stage`]: a derivation does
+    /// not depend on the HTML those keys hash.
+    pub fn hierarchy_stage(&mut self, parse: &ParseRun, _page_keys: &[u64]) -> Derivation {
+        let keys = self.keys.keys_for(&parse.pages);
+        let dkey = derivation_key(keys);
         if let Some((k, derivation)) = &self.derived {
-            if *k == ckey {
+            if *k == dkey {
                 self.stats.derived_hits += 1;
+                self.graphs.hits += keys.len();
+                self.evidence.hits += keys.len();
                 return derivation.clone();
             }
         }
         self.stats.derived_misses += 1;
-        let derivation = derive_hierarchy_cached(&parse.pages, &mut self.graphs, &mut self.evidence);
-        self.derived = Some((ckey, derivation.clone()));
+        let graph_keys: Vec<u64> = keys.iter().map(|k| k.graph).collect();
+        let derivation = derive_hierarchy_cached(
+            &parse.pages,
+            &graph_keys,
+            &mut self.graphs,
+            &mut self.evidence,
+        );
+        self.derived = Some((dkey, derivation.clone()));
         derivation
     }
 
@@ -749,11 +854,11 @@ fn keyed_map_from_value_lossy<T: Deserialize>(
     map
 }
 
-/// Content key of the corpus-level derived stage: FNV over the ordered
+/// Content key of a whole manual revision: FNV over the ordered
 /// per-page keys. Any page edit, insertion, removal or reorder changes
-/// it, so a stale derivation can never be replayed. Public because the
-/// serve job journal uses it as the stage record key for the
-/// corpus-level stages.
+/// it. The serve job journal uses it as the stage record key for the
+/// corpus-level stages; the cached derivation is keyed more narrowly
+/// (see `derivation_key`), by the fields a derivation reads.
 pub fn corpus_key(page_keys: &[u64]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_usize(page_keys.len());

@@ -15,6 +15,7 @@
 use crate::format::{placeholder_tokens, CorpusEntry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Index of a node in a [`Vdm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,8 +53,10 @@ pub struct VdmParameter {
 pub struct Vdm {
     /// Vendor identifier, e.g. `helix`.
     pub vendor: String,
-    /// The parsed corpus backing this model.
-    pub corpus: Vec<CorpusEntry>,
+    /// The parsed corpus backing this model. Entries are shared with the
+    /// parsed pages they came from; serde writes an `Arc` as its value,
+    /// so the encoded VDM is the same as for owned entries.
+    pub corpus: Vec<Arc<CorpusEntry>>,
     /// Node arena; index 0 is the synthetic root (the device's entry view).
     pub nodes: Vec<VdmNode>,
     /// Name of the entry view the root represents (e.g. `system view`).
@@ -89,9 +92,10 @@ impl Vdm {
         &self.nodes[id.0]
     }
 
-    /// Append a corpus entry; returns its index for node linking.
-    pub fn push_corpus(&mut self, entry: CorpusEntry) -> usize {
-        self.corpus.push(entry);
+    /// Append a corpus entry, owned or shared; returns its index for
+    /// node linking.
+    pub fn push_corpus(&mut self, entry: impl Into<Arc<CorpusEntry>>) -> usize {
+        self.corpus.push(entry.into());
         self.corpus.len() - 1
     }
 
@@ -192,7 +196,7 @@ impl Vdm {
 
     /// The corpus entry backing `id`, if any.
     pub fn corpus_of(&self, id: VdmNodeId) -> Option<&CorpusEntry> {
-        self.node(id).corpus_idx.map(|i| &self.corpus[i])
+        self.node(id).corpus_idx.map(|i| self.corpus[i].as_ref())
     }
 
     /// Path of templates from the root to `id` (root excluded), e.g.

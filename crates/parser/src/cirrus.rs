@@ -13,6 +13,7 @@ use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
 use nassim_html::Document;
+use std::sync::Arc;
 
 /// Class configuration for the cirrus parser.
 pub struct ParserCirrus {
@@ -115,14 +116,14 @@ impl VendorParser for ParserCirrus {
         let examples = example_snippets(doc, &example_nodes);
         Ok(Some(ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis,
                 func_def,
                 parent_views,
                 para_def,
                 examples,
                 source: url.to_string(),
-            },
+            }),
             context_path: None,
             enters_view: None,
         }))

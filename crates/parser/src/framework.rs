@@ -21,8 +21,9 @@ use std::sync::Arc;
 pub struct ParsedPage {
     /// Source page URL (kept for report links and VDM provenance).
     pub url: String,
-    /// The vendor-independent corpus entry.
-    pub entry: CorpusEntry,
+    /// The vendor-independent corpus entry, shared with the VDM corpus
+    /// built from this page (a build copies no entries).
+    pub entry: Arc<CorpusEntry>,
     /// For vendors whose manuals state hierarchy explicitly (norsk): the
     /// view-name path from the root view to the command's working view.
     pub context_path: Option<Vec<String>>,
@@ -548,7 +549,7 @@ mod tests {
             }
             Ok(Some(ParsedPage {
                 url: url.to_string(),
-                entry,
+                entry: Arc::new(entry),
                 context_path: None,
                 enters_view: None,
             }))

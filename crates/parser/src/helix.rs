@@ -10,6 +10,7 @@ use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
 use nassim_html::{Document, NodeId};
+use std::sync::Arc;
 
 /// CSS/class configuration; [`ParserHelix::new`] holds the complete table
 /// discovered through the TDD loop.
@@ -88,14 +89,14 @@ impl VendorParser for ParserHelix {
         let examples = example_snippets(doc, &self.section(doc, "Examples"));
         Ok(Some(ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis,
                 func_def,
                 parent_views,
                 para_def,
                 examples,
                 source: url.to_string(),
-            },
+            }),
             context_path: None,
             enters_view: None,
         }))

@@ -11,6 +11,7 @@ use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
 use nassim_html::{Document, NodeId};
+use std::sync::Arc;
 
 /// Class configuration for the norsk parser.
 pub struct ParserNorsk {
@@ -134,14 +135,14 @@ impl VendorParser for ParserNorsk {
             .collect();
         Ok(Some(ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis,
                 func_def,
                 parent_views,
                 para_def,
                 examples: Vec::new(),
                 source: url.to_string(),
-            },
+            }),
             context_path: Some(context_path),
             enters_view,
         }))

@@ -349,12 +349,14 @@ impl CorpusGraphs {
     /// [`CorpusGraphs::build`] reusing cached per-page artifacts: pages
     /// whose CLI set is already in `cache` skip compilation entirely;
     /// misses compile in one fan-out and are inserted for next time.
-    /// The assembled index is identical to an uncached build.
+    /// The assembled index is identical to an uncached build. `keys[i]`
+    /// must be [`graph_key`] of `pages[i]`.
     pub fn build_cached<P: Borrow<ParsedPage> + Sync>(
         pages: &[P],
+        keys: &[u64],
         cache: &mut GraphCache,
     ) -> CorpusGraphs {
-        let keys: Vec<u64> = pages.iter().map(|p| graph_key(p.borrow())).collect();
+        debug_assert_eq!(keys.len(), pages.len());
         let mut per_page: Vec<Option<Arc<PageGraphs>>> =
             keys.iter().map(|k| cache.entries.get(k).cloned()).collect();
         let missing: Vec<usize> = per_page
@@ -467,6 +469,22 @@ fn evidence_key(fingerprint: u64, pi: usize, page: &ParsedPage) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(fingerprint);
     h.write_usize(pi);
+    write_evidence_fields(&mut h, page);
+    h.finish()
+}
+
+/// Digest of the page-local fields hierarchy evidence reads (part (c)
+/// of [`evidence_key`]): working views, examples, context path and
+/// `Enters:` marker. Together with the ordered [`graph_key`]s it
+/// determines a whole [`Derivation`], so a derivation can be cached
+/// under the page count, the ordered graph keys and the ordered digests.
+pub fn evidence_fields_key(page: &ParsedPage) -> u64 {
+    let mut h = Fnv1a::new();
+    write_evidence_fields(&mut h, page);
+    h.finish()
+}
+
+fn write_evidence_fields(h: &mut Fnv1a, page: &ParsedPage) {
     h.write_usize(page.entry.parent_views.len());
     for view in &page.entry.parent_views {
         h.write_field(view);
@@ -498,7 +516,6 @@ fn evidence_key(fingerprint: u64, pi: usize, page: &ParsedPage) -> u64 {
             h.write_usize(0);
         }
     }
-    h.finish()
 }
 
 /// In-memory cache of per-page [`PageEvidence`] artifacts, keyed by
@@ -693,20 +710,23 @@ pub fn derive_hierarchy<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> Derivation
 /// [`evidence_key`]), so a prose-only page edit re-collects nothing and
 /// a CLI edit anywhere re-collects everything — either way the output is
 /// identical to [`derive_hierarchy`] (modulo wall-clock stats).
+/// `graph_keys[i]` must be [`graph_key`] of `pages[i]`; the artifact
+/// store passes the keys it has already memoized.
 pub fn derive_hierarchy_cached<P: Borrow<ParsedPage> + Sync>(
     pages: &[P],
+    graph_keys: &[u64],
     graphs: &mut GraphCache,
     evidence: &mut EvidenceCache,
 ) -> Derivation {
     let t0 = Instant::now();
-    let corpus = CorpusGraphs::build_cached(pages, graphs);
+    let corpus = CorpusGraphs::build_cached(pages, graph_keys, graphs);
     let cgm_build_time = t0.elapsed();
     let t1 = Instant::now();
 
     let mut fp = Fnv1a::new();
     fp.write_usize(pages.len());
-    for page in pages {
-        fp.write_u64(graph_key(page.borrow()));
+    for &k in graph_keys {
+        fp.write_u64(k);
     }
     let fingerprint = fp.finish();
     let keys: Vec<u64> = pages
@@ -934,7 +954,7 @@ mod tests {
     ) -> ParsedPage {
         ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis: vec![cli.to_string()],
                 func_def: String::new(),
                 parent_views: vec![view.to_string()],
@@ -944,7 +964,7 @@ mod tests {
                     .map(|s| s.into_iter().map(str::to_string).collect())
                     .collect(),
                 source: url.to_string(),
-            },
+            }),
             context_path: None,
             enters_view: None,
         }

@@ -33,8 +33,9 @@ pub use empirical::{
     DeviceValidation, EmpiricalReport, SkippedNode,
 };
 pub use hierarchy::{
-    compile_graphs, compile_page_graphs, derive_hierarchy, derive_hierarchy_cached, graph_key,
-    graph_key_of, Derivation, EvidenceCache, GraphCache, PageGraphs,
+    compile_graphs, compile_page_graphs, derive_hierarchy, derive_hierarchy_cached,
+    evidence_fields_key, graph_key, graph_key_of, Derivation, EvidenceCache, GraphCache,
+    PageGraphs,
 };
 pub use report::VdmConstructionReport;
 pub use syntax_stage::{

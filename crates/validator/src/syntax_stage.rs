@@ -145,18 +145,19 @@ pub fn fold_page_syntax<'a>(per_page: impl Iterator<Item = &'a PageSyntax>) -> S
 mod tests {
     use super::*;
     use nassim_corpus::CorpusEntry;
+    use std::sync::Arc;
 
     fn page(url: &str, clis: &[&str]) -> ParsedPage {
         ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis: clis.iter().map(|s| s.to_string()).collect(),
                 func_def: String::new(),
                 parent_views: vec!["system view".into()],
                 para_def: Vec::new(),
                 examples: Vec::new(),
                 source: url.to_string(),
-            },
+            }),
             context_path: None,
             enters_view: None,
         }

@@ -10,7 +10,8 @@ use crate::hierarchy::{Derivation, ROOT_OPENER};
 use nassim_corpus::{Vdm, VdmNodeId};
 use nassim_parser::ParsedPage;
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// The assembled VDM plus placement diagnostics.
 #[derive(Debug, Clone)]
@@ -48,22 +49,20 @@ impl VdmBuild {
 }
 
 /// Build the VDM of `vendor` from parsed pages (owned or shared) and
-/// their derivation.
+/// their derivation. The VDM corpus shares each page's entry (an `Arc`
+/// bump per page), so a build copies no entries.
 pub fn build_vdm<P: Borrow<ParsedPage>>(
     vendor: &str,
     pages: &[P],
     derivation: &Derivation,
 ) -> VdmBuild {
-    let root_view = derivation
-        .root_view
-        .clone()
-        .unwrap_or_else(|| "system view".to_string());
-    let mut vdm = Vdm::new(vendor, root_view.clone());
+    let root_view = derivation.root_view.as_deref().unwrap_or("system view");
+    let mut vdm = Vdm::new(vendor, root_view);
 
     // page index → corpus index in the VDM.
     let mut corpus_idx = Vec::with_capacity(pages.len());
     for page in pages {
-        corpus_idx.push(vdm.push_corpus(page.borrow().entry.clone()));
+        corpus_idx.push(vdm.push_corpus(Arc::clone(&page.borrow().entry)));
     }
 
     // view name → opener page (ROOT_OPENER ⇒ root view).
@@ -85,14 +84,13 @@ pub fn build_vdm<P: Borrow<ParsedPage>>(
 
     // BFS from the root view, expanding each view once.
     let mut placed = vec![false; pages.len()];
-    let mut queue: Vec<(String, VdmNodeId)> = vec![(root_view, vdm.root())];
-    let mut expanded: Vec<String> = Vec::new();
+    let mut queue: Vec<(&str, VdmNodeId)> = vec![(root_view, vdm.root())];
+    let mut expanded: HashSet<&str> = HashSet::new();
     while let Some((view, parent_node)) = queue.pop() {
-        if expanded.contains(&view) {
+        if !expanded.insert(view) {
             continue; // guard against derivation cycles
         }
-        expanded.push(view.clone());
-        let Some(members) = pages_in_view.get(view.as_str()) else {
+        let Some(members) = pages_in_view.get(view) else {
             continue;
         };
         for &pi in members {
@@ -108,12 +106,12 @@ pub fn build_vdm<P: Borrow<ParsedPage>>(
                 let node = vdm.add_node(
                     parent_node,
                     cli.clone(),
-                    view.clone(),
+                    view,
                     Some(corpus_idx[pi]),
                     enters.map(str::to_string),
                 );
                 if let Some(v) = enters {
-                    queue.push((v.to_string(), node));
+                    queue.push((v, node));
                 }
             }
         }
@@ -133,7 +131,7 @@ mod tests {
     fn page(url: &str, clis: Vec<&str>, view: &str, examples: Vec<Vec<&str>>) -> ParsedPage {
         ParsedPage {
             url: url.to_string(),
-            entry: CorpusEntry {
+            entry: Arc::new(CorpusEntry {
                 clis: clis.into_iter().map(str::to_string).collect(),
                 func_def: String::new(),
                 parent_views: vec![view.to_string()],
@@ -143,7 +141,7 @@ mod tests {
                     .map(|s| s.into_iter().map(str::to_string).collect())
                     .collect(),
                 source: url.to_string(),
-            },
+            }),
             context_path: None,
             enters_view: None,
         }

@@ -81,7 +81,7 @@ fn chaos_matrix_accounts_for_every_injection() {
         .parse
         .pages
         .iter()
-        .map(|p| (p.url.clone(), p.entry.clone()))
+        .map(|p| (p.url.clone(), (*p.entry).clone()))
         .collect();
     let baseline_skipped: HashSet<String> =
         baseline.parse.report.skipped_pages.iter().cloned().collect();
@@ -164,7 +164,7 @@ fn chaos_matrix_accounts_for_every_injection() {
                     .find(|p| &p.url == url)
                     .unwrap_or_else(|| panic!("{label}: clean page {url} lost"));
                 assert_eq!(
-                    &chaos_entry.entry, entry,
+                    &*chaos_entry.entry, entry,
                     "{label}: clean page {url} extracted differently"
                 );
             }
