@@ -225,7 +225,7 @@ pub mod collection {
     use rand::Rng;
     use std::rc::Rc;
 
-    /// Acceptable size arguments for [`vec`]: an exact length, a
+    /// Acceptable size arguments for [`vec`](fn@vec): an exact length, a
     /// half-open range, or an inclusive range (upstream's `SizeRange`).
     pub trait IntoSizeRange {
         /// Inclusive (min, max) bounds.

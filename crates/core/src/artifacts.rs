@@ -61,7 +61,7 @@
 //! evidence, which is what makes a reload cheap.
 //!
 //! A magic + schema-version header guards against foreign files (the
-//! version history is on [`SCHEMA_VERSION`]; a store from an older
+//! version history is on `SCHEMA_VERSION`; a store from an older
 //! version is the typed [`NassimError::ArtifactOutdated`]), loads
 //! are size-capped ([`MAX_STORE_BYTES`]) against adversarial inputs,
 //! and any corruption surfaces as the typed

@@ -118,7 +118,7 @@ fn fold_mul(a: u64, b: u64) -> u64 {
 }
 
 /// One-shot 64-bit digest of `bytes`, one 128-bit multiply per 16-byte
-/// block. Specified as follows (`K` = [`DIGEST_K`], `fold(a, b)` = the
+/// block. Specified as follows (`K` = `DIGEST_K`, `fold(a, b)` = the
 /// 128-bit product `a·b` with its high and low halves XORed):
 ///
 /// 1. `h = K[0]`.

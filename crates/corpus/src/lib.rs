@@ -2,7 +2,7 @@
 //!
 //! The data model layer of NAssim:
 //!
-//! * [`format`] — the vendor-independent corpus format of Table 3 /
+//! * [`format`](mod@format) — the vendor-independent corpus format of Table 3 /
 //!   Figure 3 of the paper: a JSON dictionary with the five keys `CLIs`,
 //!   `FuncDef`, `ParentViews`, `ParaDef` and `Examples`, plus the
 //!   Appendix-B completeness/type-restriction/self-check tests that the

@@ -1,7 +1,20 @@
-//! Arena-based DOM tree built from the token stream.
+//! Arena-based DOM tree built from the token stream, borrowing the page.
 //!
 //! Nodes live in a flat `Vec` and reference each other by [`NodeId`], the
 //! usual Rust idiom for parent/child/sibling graphs without `Rc` cycles.
+//! Each node stores its parent, first-child, last-child and next-sibling
+//! links, so appending a child is O(1) and [`Document::children`],
+//! [`Document::following_siblings`] and [`Document::text_lines`] walk the
+//! links without allocating. Nodes are appended in document order, so a
+//! subtree is a contiguous id range: [`Document::descendants`] and
+//! [`Document::text_of`] find its end through the links and then scan
+//! the range.
+//!
+//! A [`Document<'a>`] borrows the page it was parsed from: element names,
+//! attributes, text and comments are the tokenizer's [`Cow`] slices of
+//! the input (see [`crate::tokenizer`] for when one is owned), so the page
+//! must outlive its document.
+//!
 //! The tree-construction pass applies the implicit-close rules that matter
 //! for manual pages: `<p>`, `<li>`, `<tr>`, `<td>`, … close their open
 //! predecessor, void elements (`<br>`, `<img>`, …) never take children,
@@ -9,6 +22,7 @@
 
 use crate::budget::{BudgetExhausted, BudgetResource, IngestBudget};
 use crate::tokenizer::{MarkupDefect, MarkupDefectKind, Token, Tokenizer};
+use std::borrow::Cow;
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,20 +30,20 @@ pub struct NodeId(pub(crate) usize);
 
 /// An element node: tag name plus attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
+pub struct Element<'a> {
     /// Lower-cased tag name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Attributes in document order (names lower-cased, values decoded).
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
 }
 
-impl Element {
+impl Element<'_> {
     /// Value of attribute `name`, if present.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// The `class` attribute split on whitespace.
@@ -45,25 +59,37 @@ impl Element {
 
 /// Payload of a DOM node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+pub enum NodeKind<'a> {
     /// Synthetic root that parents all top-level nodes.
     Root,
-    Element(Element),
-    Text(String),
-    Comment(String),
+    Element(Element<'a>),
+    Text(Cow<'a, str>),
+    Comment(&'a str),
 }
 
 /// A node in the arena: payload plus tree links.
 #[derive(Debug, Clone)]
-pub struct Node {
-    pub kind: NodeKind,
-    pub parent: Option<NodeId>,
-    pub children: Vec<NodeId>,
+pub struct Node<'a> {
+    pub kind: NodeKind<'a>,
+    parent: Option<NodeId>,
+    first_child: Option<NodeId>,
+    last_child: Option<NodeId>,
+    next_sibling: Option<NodeId>,
 }
 
-impl Node {
+impl<'a> Node<'a> {
+    fn new(kind: NodeKind<'a>, parent: Option<NodeId>) -> Node<'a> {
+        Node {
+            kind,
+            parent,
+            first_child: None,
+            last_child: None,
+            next_sibling: None,
+        }
+    }
+
     /// The element payload, if this node is an element.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub fn as_element(&self) -> Option<&Element<'a>> {
         match &self.kind {
             NodeKind::Element(e) => Some(e),
             _ => None,
@@ -92,16 +118,17 @@ fn implicitly_closes(name: &str) -> &'static [&'static str] {
     }
 }
 
-/// A parsed HTML document: node arena plus the synthetic root.
+/// A parsed HTML document: node arena plus the synthetic root, borrowing
+/// the page it was parsed from.
 #[derive(Debug, Clone)]
-pub struct Document {
-    nodes: Vec<Node>,
+pub struct Document<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
-impl Document {
+impl<'a> Document<'a> {
     /// Parse `input` into a DOM. Never fails; malformed markup degrades
     /// locally (see crate docs).
-    pub fn parse(input: &str) -> Document {
+    pub fn parse(input: &'a str) -> Document<'a> {
         Document::parse_with_report(input).0
     }
 
@@ -109,21 +136,18 @@ impl Document {
     /// from, each with the byte offset it was found at. The DOM is the
     /// same one [`Document::parse`] builds — recovery behaviour is
     /// unchanged, only recorded.
-    pub fn parse_with_report(input: &str) -> (Document, Vec<MarkupDefect>) {
+    pub fn parse_with_report(input: &'a str) -> (Document<'a>, Vec<MarkupDefect>) {
         // Unbounded ceilings make exhaustion unreachable; the fallback
         // arm exists only to keep this seam infallible for callers.
-        Document::parse_budgeted(input, &IngestBudget::unbounded()).unwrap_or_else(|_| {
-            (
-                Document {
-                    nodes: vec![Node {
-                        kind: NodeKind::Root,
-                        parent: None,
-                        children: Vec::new(),
-                    }],
-                },
-                Vec::new(),
-            )
-        })
+        Document::parse_budgeted(input, &IngestBudget::unbounded())
+            .unwrap_or_else(|_| (Document::empty(), Vec::new()))
+    }
+
+    /// A document holding only the synthetic root.
+    fn empty() -> Document<'a> {
+        Document {
+            nodes: vec![Node::new(NodeKind::Root, None)],
+        }
     }
 
     /// Parse `input` under per-page resource ceilings.
@@ -137,18 +161,12 @@ impl Document {
     /// recorded, so depth bombs cannot grow the open-element stack —
     /// or, later, recurse a consumer off the real stack.
     pub fn parse_budgeted(
-        input: &str,
+        input: &'a str,
         budget: &IngestBudget,
-    ) -> Result<(Document, Vec<MarkupDefect>), BudgetExhausted> {
+    ) -> Result<(Document<'a>, Vec<MarkupDefect>), BudgetExhausted> {
         budget.check(BudgetResource::Bytes, input.len())?;
-        let mut doc = Document {
-            nodes: vec![Node {
-                kind: NodeKind::Root,
-                parent: None,
-                children: Vec::new(),
-            }],
-        };
-        let root = NodeId(0);
+        let mut doc = Document::empty();
+        let root = doc.root();
         // Each open element remembers the offset its start tag began at,
         // so EOF-unclosed elements can be reported with a span.
         let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
@@ -172,51 +190,44 @@ impl Document {
                     // matching open element.
                     let closes = implicitly_closes(&name);
                     if !closes.is_empty() {
-                        if let Some(pos) = stack.iter().rposition(|&(id, _)| {
-                            doc.nodes[id.0]
-                                .as_element()
-                                .map(|e| closes.contains(&e.name.as_str()))
-                                .unwrap_or(false)
-                        }) {
+                        if let Some(pos) = stack
+                            .iter()
+                            .rposition(|&(id, _)| doc.is_element_in(id, closes))
+                        {
                             stack.truncate(pos.max(1));
                         }
                     }
-                    let parent = stack.last().map(|&(id, _)| id).unwrap_or(root);
-                    let id = doc.push(
-                        NodeKind::Element(Element {
-                            name: name.clone(),
-                            attrs,
-                        }),
-                        parent,
-                    );
                     // The stack holds the root plus one entry per open
                     // element, so its length is the would-be depth.
-                    if stack.len() > budget.max_depth {
-                        if !depth_defect_recorded {
-                            depth_defect_recorded = true;
-                            tokens.record_defect(
-                                MarkupDefectKind::NestingTooDeep {
-                                    name: name.clone(),
-                                    depth: stack.len(),
-                                },
-                                at,
-                            );
-                        }
-                    } else if !self_closing && !VOID_ELEMENTS.contains(&name.as_str()) {
+                    let too_deep = stack.len() > budget.max_depth;
+                    if too_deep && !depth_defect_recorded {
+                        depth_defect_recorded = true;
+                        tokens.record_defect(
+                            MarkupDefectKind::NestingTooDeep {
+                                name: name.to_string(),
+                                depth: stack.len(),
+                            },
+                            at,
+                        );
+                    }
+                    let opens = !too_deep && !self_closing && !VOID_ELEMENTS.contains(&&*name);
+                    let parent = stack.last().map(|&(id, _)| id).unwrap_or(root);
+                    let id = doc.push(NodeKind::Element(Element { name, attrs }), parent);
+                    if opens {
                         stack.push((id, at));
                     }
                 }
                 Token::EndTag { name } => {
                     // Pop to the matching open tag; flag stray end tags.
-                    match stack.iter().rposition(|&(id, _)| {
-                        doc.nodes[id.0]
-                            .as_element()
-                            .map(|e| e.name == name)
-                            .unwrap_or(false)
-                    }) {
+                    match stack
+                        .iter()
+                        .rposition(|&(id, _)| doc.is_element_in(id, &[&*name]))
+                    {
                         Some(pos) => stack.truncate(pos.max(1)),
                         None => tokens.record_defect(
-                            MarkupDefectKind::StrayEndTag { name },
+                            MarkupDefectKind::StrayEndTag {
+                                name: name.into_owned(),
+                            },
                             at,
                         ),
                     }
@@ -236,10 +247,10 @@ impl Document {
         }
         // Elements still open at EOF were closed implicitly.
         for &(id, at) in stack.iter().skip(1) {
-            if let Some(e) = doc.nodes[id.0].as_element() {
+            if let Some(e) = doc.element(id) {
                 tokens.record_defect(
                     MarkupDefectKind::UnclosedElement {
-                        name: e.name.clone(),
+                        name: e.name.to_string(),
                     },
                     at,
                 );
@@ -250,14 +261,20 @@ impl Document {
         Ok((doc, defects))
     }
 
-    fn push(&mut self, kind: NodeKind, parent: NodeId) -> NodeId {
+    /// True if `id` is an element named one of `names`.
+    fn is_element_in(&self, id: NodeId, names: &[&str]) -> bool {
+        self.element(id)
+            .is_some_and(|e| names.contains(&e.name.as_ref()))
+    }
+
+    /// Append a node as the last child of `parent`.
+    fn push(&mut self, kind: NodeKind<'a>, parent: NodeId) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.0].children.push(id);
+        self.nodes.push(Node::new(kind, Some(parent)));
+        match self.nodes[parent.0].last_child.replace(id) {
+            Some(prev) => self.nodes[prev.0].next_sibling = Some(id),
+            None => self.nodes[parent.0].first_child = Some(id),
+        }
         id
     }
 
@@ -267,12 +284,12 @@ impl Document {
     }
 
     /// Borrow a node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &Node<'a> {
         &self.nodes[id.0]
     }
 
     /// The element payload of `id`, if it is an element.
-    pub fn element(&self, id: NodeId) -> Option<&Element> {
+    pub fn element(&self, id: NodeId) -> Option<&Element<'a>> {
         self.node(id).as_element()
     }
 
@@ -287,8 +304,11 @@ impl Document {
     }
 
     /// Children of `id`, in document order.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(id).children.iter().copied()
+    pub fn children(&self, id: NodeId) -> Siblings<'_> {
+        Siblings {
+            doc: self.shorten(),
+            next: self.node(id).first_child,
+        }
     }
 
     /// Parent of `id` (None only for the root).
@@ -297,34 +317,55 @@ impl Document {
     }
 
     /// All descendants of `id` in document (pre-)order, excluding `id`.
-    pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
+    pub fn descendants(&self, id: NodeId) -> Descendants {
         Descendants {
-            doc: self,
-            stack: self.node(id).children.iter().rev().copied().collect(),
+            ids: id.0 + 1..self.subtree_end(id),
+        }
+    }
+
+    /// One past the last id in `id`'s subtree.
+    ///
+    /// The builder appends nodes in document order, and a node takes
+    /// children only while it is open, so every subtree is a contiguous
+    /// run of ids that ends where the next node outside it begins: the
+    /// next sibling of `id` or of its nearest ancestor that has one.
+    fn subtree_end(&self, id: NodeId) -> usize {
+        let mut cur = self.node(id);
+        loop {
+            if let Some(sibling) = cur.next_sibling {
+                return sibling.0;
+            }
+            match cur.parent {
+                Some(parent) => cur = self.node(parent),
+                None => return self.nodes.len(),
+            }
         }
     }
 
     /// Ancestors of `id` from parent to root.
     pub fn ancestors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut cur = self.parent(id);
+        let doc = self.shorten();
+        let mut cur = doc.parent(id);
         std::iter::from_fn(move || {
             let next = cur?;
-            cur = self.parent(next);
+            cur = doc.parent(next);
             Some(next)
         })
     }
 
     /// Siblings after `id`, in document order.
-    pub fn following_siblings(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let parent = self.parent(id);
-        let mut after = Vec::new();
-        if let Some(p) = parent {
-            let kids = &self.node(p).children;
-            if let Some(pos) = kids.iter().position(|&k| k == id) {
-                after = kids[pos + 1..].to_vec();
-            }
+    pub fn following_siblings(&self, id: NodeId) -> Siblings<'_> {
+        Siblings {
+            doc: self.shorten(),
+            next: self.node(id).next_sibling,
         }
-        after.into_iter()
+    }
+
+    /// This document with its page borrow shortened to the borrow of the
+    /// document itself (documents are covariant in the page), so the
+    /// traversal iterators carry one lifetime instead of two.
+    pub(crate) fn shorten(&self) -> &Document<'_> {
+        self
     }
 
     /// Concatenated text of `id` and its descendants with whitespace runs
@@ -332,9 +373,17 @@ impl Document {
     /// what a human reads on the rendered page, which is the contract the
     /// paper's corpus format needs.
     pub fn text_of(&self, id: NodeId) -> String {
-        let mut raw = String::new();
-        self.collect_text(id, &mut raw);
-        normalize_ws(&raw)
+        let mut out = String::new();
+        let mut in_ws = true; // leading whitespace is dropped
+        for node in &self.nodes[id.0..self.subtree_end(id)] {
+            if let NodeKind::Text(t) = &node.kind {
+                push_collapsed(&mut out, &mut in_ws, t);
+            }
+        }
+        if out.ends_with(' ') {
+            out.pop();
+        }
+        out
     }
 
     /// Like [`Document::text_of`] but preserving line structure: block
@@ -349,105 +398,111 @@ impl Document {
             .collect()
     }
 
-    // Both text collectors walk with an explicit stack rather than
-    // recursing: document depth is attacker-controlled (the builder's
-    // depth guard bounds it, but these helpers must not be the weak
-    // link if that guard is ever raised).
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            match &self.node(cur).kind {
-                NodeKind::Text(t) => out.push_str(t),
-                NodeKind::Comment(_) => {}
-                _ => {
-                    stack.extend(self.node(cur).children.iter().rev().copied());
-                }
-            }
-        }
-    }
-
+    /// Render `id`'s subtree as text with a newline around every block
+    /// element. The walk follows the sibling links with no stack, so
+    /// document depth — attacker-controlled, though bounded by the
+    /// builder's depth guard — costs no memory here.
     fn collect_text_blocks(&self, id: NodeId, out: &mut String) {
         const BLOCK: &[&str] = &[
             "p", "div", "li", "tr", "br", "pre", "h1", "h2", "h3", "h4", "h5",
             "table", "ul", "ol", "dt", "dd", "section",
         ];
-        // Enter frames visit a node; exit frames emit the trailing
-        // newline a block element owes after its subtree is rendered.
-        enum Frame {
-            Enter(NodeId),
-            ExitBlock,
-        }
-        let mut stack = vec![Frame::Enter(id)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::ExitBlock => {
-                    if !out.ends_with('\n') {
-                        out.push('\n');
-                    }
+        let is_block = |n: NodeId| self.is_element_in(n, BLOCK);
+        let mut cur = id;
+        'enter: loop {
+            match &self.node(cur).kind {
+                NodeKind::Text(t) => out.push_str(t),
+                // A block element starts on a line of its own.
+                NodeKind::Element(_)
+                    if is_block(cur) && !out.ends_with('\n') && !out.is_empty() =>
+                {
+                    out.push('\n');
                 }
-                Frame::Enter(cur) => match &self.node(cur).kind {
-                    NodeKind::Text(t) => out.push_str(t),
-                    NodeKind::Comment(_) => {}
-                    NodeKind::Element(e) => {
-                        let block = BLOCK.contains(&e.name.as_str());
-                        if block && !out.ends_with('\n') && !out.is_empty() {
-                            out.push('\n');
-                        }
-                        if block {
-                            stack.push(Frame::ExitBlock);
-                        }
-                        for &child in self.node(cur).children.iter().rev() {
-                            stack.push(Frame::Enter(child));
-                        }
+                _ => {}
+            }
+            if let Some(child) = self.node(cur).first_child {
+                cur = child;
+                continue;
+            }
+            // `cur` has no children: close it and every ancestor whose
+            // last child it ends, up to the next sibling to enter.
+            loop {
+                // A block element owes a newline after its subtree.
+                if is_block(cur) && !out.ends_with('\n') {
+                    out.push('\n');
+                }
+                if cur == id {
+                    return;
+                }
+                let node = self.node(cur);
+                match (node.next_sibling, node.parent) {
+                    (Some(sibling), _) => {
+                        cur = sibling;
+                        continue 'enter;
                     }
-                    NodeKind::Root => {
-                        for &child in self.node(cur).children.iter().rev() {
-                            stack.push(Frame::Enter(child));
-                        }
-                    }
-                },
+                    (None, Some(parent)) => cur = parent,
+                    (None, None) => return,
+                }
             }
         }
     }
 }
 
-/// Collapse whitespace runs to single spaces and trim.
-pub(crate) fn normalize_ws(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut in_ws = true; // leading whitespace is dropped
-    for ch in s.chars() {
+/// Append `text` to `out` with each whitespace run collapsed to one
+/// space. `in_ws` carries "the output ends in whitespace" across calls,
+/// so a run split over several text nodes still collapses to one space,
+/// and starting with it set drops leading whitespace.
+fn push_collapsed(out: &mut String, in_ws: &mut bool, text: &str) {
+    for ch in text.chars() {
         if ch.is_whitespace() {
-            if !in_ws {
+            if !*in_ws {
                 out.push(' ');
-                in_ws = true;
+                *in_ws = true;
             }
         } else {
             out.push(ch);
-            in_ws = false;
+            *in_ws = false;
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
-/// Depth-first pre-order traversal (see [`Document::descendants`]).
-pub struct Descendants<'a> {
-    doc: &'a Document,
-    stack: Vec<NodeId>,
+/// A run of siblings in document order, following the next-sibling
+/// links (see [`Document::children`], [`Document::following_siblings`]).
+#[derive(Debug, Clone)]
+pub struct Siblings<'d> {
+    doc: &'d Document<'d>,
+    next: Option<NodeId>,
 }
 
-impl<'a> Iterator for Descendants<'a> {
+impl Iterator for Siblings<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        for &child in self.doc.node(id).children.iter().rev() {
-            self.stack.push(child);
-        }
+        let id = self.next?;
+        self.next = self.doc.node(id).next_sibling;
         Some(id)
+    }
+}
+
+/// Depth-first pre-order traversal of a subtree (see
+/// [`Document::descendants`]): a subtree is a contiguous id range, so the
+/// walk is a counter.
+#[derive(Debug, Clone)]
+pub struct Descendants {
+    ids: std::ops::Range<usize>,
+}
+
+impl Iterator for Descendants {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.ids.next().map(NodeId)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
     }
 }
 
@@ -507,7 +562,7 @@ mod tests {
         let doc = Document::parse("<br><p>x</p>");
         let kids: Vec<_> = doc.children(doc.root()).collect();
         assert_eq!(kids.len(), 2);
-        assert!(doc.node(kids[0]).children.is_empty());
+        assert_eq!(doc.children(kids[0]).count(), 0);
     }
 
     #[test]

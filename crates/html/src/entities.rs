@@ -6,6 +6,8 @@
 //! `&#x40;`) are decoded in full; the named set covers every entity we have
 //! observed in vendor manuals plus the HTML4 core.
 
+use std::borrow::Cow;
+
 /// Named entities recognised by [`decode`]. Kept sorted for readability;
 /// lookup is linear, which is fine for the handful of entries.
 const NAMED: &[(&str, char)] = &[
@@ -41,27 +43,44 @@ const NAMED: &[(&str, char)] = &[
 /// assert_eq!(nassim_html::entities::decode("AT&T"), "AT&T");
 /// ```
 pub fn decode(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
-    let mut out = String::with_capacity(input.len());
-    let mut rest = input;
-    while let Some(pos) = rest.find('&') {
-        out.push_str(&rest[..pos]);
-        rest = &rest[pos..];
-        match decode_one(rest) {
+    decode_cow(input).into_owned()
+}
+
+/// [`decode`] without the copy: the result borrows `input` unless a
+/// reference actually decodes, which is the common case for manual text
+/// and attribute values.
+///
+/// ```
+/// use std::borrow::Cow;
+/// use nassim_html::entities::decode_cow;
+/// assert!(matches!(decode_cow("AT&T"), Cow::Borrowed("AT&T")));
+/// assert_eq!(decode_cow("&lt;ip&gt;"), "<ip>");
+/// ```
+pub fn decode_cow(input: &str) -> Cow<'_, str> {
+    let mut out = String::new();
+    // `input[copied..]` is what has not been written to `out` yet.
+    let mut copied = 0;
+    let mut from = 0;
+    while let Some(off) = input[from..].find('&') {
+        let at = from + off;
+        match decode_one(&input[at..]) {
             Some((ch, consumed)) => {
+                if out.is_empty() {
+                    out.reserve(input.len());
+                }
+                out.push_str(&input[copied..at]);
                 out.push(ch);
-                rest = &rest[consumed..];
+                copied = at + consumed;
+                from = copied;
             }
-            None => {
-                out.push('&');
-                rest = &rest[1..];
-            }
+            None => from = at + 1,
         }
     }
-    out.push_str(rest);
-    out
+    if out.is_empty() {
+        return Cow::Borrowed(input);
+    }
+    out.push_str(&input[copied..]);
+    Cow::Owned(out)
 }
 
 /// Try to decode a single reference at the start of `s` (which begins with
@@ -155,6 +174,20 @@ mod tests {
     #[test]
     fn no_ampersand_fast_path() {
         assert_eq!(decode("plain text"), "plain text");
+    }
+
+    #[test]
+    fn decode_cow_owns_only_when_a_reference_decodes() {
+        for borrowed in ["plain", "AT&T", "&notareal; &;", "trailing &", ""] {
+            assert!(matches!(decode_cow(borrowed), Cow::Borrowed(s) if s == borrowed));
+        }
+        for (owned, want) in [
+            ("&amp;", "&"),
+            ("a &lt;b&gt; AT&T", "a <b> AT&T"),
+            ("&#65;x", "Ax"),
+        ] {
+            assert!(matches!(decode_cow(owned), Cow::Owned(ref s) if s == want));
+        }
     }
 
     #[test]

@@ -20,6 +20,16 @@
 //! strictness would be a bug — they are hand-written over years and full of
 //! inconsistencies (§2.2 of the paper).
 //!
+//! Parsing borrows the page. [`Tokenizer`] yields [`Token<'a>`]s that are
+//! slices of the input, and a [`Document<'a>`] keeps them as its element
+//! names, attributes and text, so the page must outlive its document.
+//! A string is owned only where the parsed value differs from the source
+//! bytes: a name that ASCII case folding changes (`<DIV>`), or text or an
+//! attribute value in which a character reference decodes (`&lt;`). On
+//! manual pages that is a small minority of tokens. Nodes link to their
+//! parent, first and last child and next sibling, so every traversal
+//! walks links or an id range and none allocates.
+//!
 //! Totality is bounded, though: [`Document::parse_budgeted`] enforces an
 //! [`IngestBudget`] of per-page byte/token/node ceilings (returning a typed
 //! [`BudgetExhausted`] when crawled input is pathological rather than merely

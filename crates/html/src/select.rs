@@ -109,7 +109,7 @@ impl Selector {
             return false;
         };
         if let Some(tag) = &self.tag {
-            if &el.name != tag {
+            if el.name != tag.as_str() {
                 return false;
             }
         }
@@ -123,39 +123,37 @@ impl Selector {
     }
 }
 
-impl Document {
+impl Document<'_> {
     /// All elements under the root matching `selector`, in document order.
-    pub fn select<'a>(
-        &'a self,
-        selector: &'a Selector,
-    ) -> impl Iterator<Item = NodeId> + 'a {
+    pub fn select<'d>(&'d self, selector: &'d Selector) -> impl Iterator<Item = NodeId> + 'd {
         self.select_under(self.root(), selector)
     }
 
     /// All elements under `scope` (exclusive) matching `selector`.
-    pub fn select_under<'a>(
-        &'a self,
+    pub fn select_under<'d>(
+        &'d self,
         scope: NodeId,
-        selector: &'a Selector,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.descendants(scope)
-            .filter(move |&id| selector.matches(self, id))
+        selector: &'d Selector,
+    ) -> impl Iterator<Item = NodeId> + 'd {
+        let doc = self.shorten();
+        doc.descendants(scope)
+            .filter(move |&id| selector.matches(doc, id))
     }
 
     /// Convenience: elements carrying class `class`.
-    pub fn select_class<'a>(&'a self, class: &str) -> impl Iterator<Item = NodeId> + 'a {
+    pub fn select_class(&self, class: &str) -> impl Iterator<Item = NodeId> + '_ {
         let class = class.to_string();
-        self.descendants(self.root()).filter(move |&id| {
-            self.element(id).map(|e| e.has_class(&class)).unwrap_or(false)
-        })
+        let doc = self.shorten();
+        doc.descendants(doc.root())
+            .filter(move |&id| doc.element(id).is_some_and(|e| e.has_class(&class)))
     }
 
     /// Convenience: elements with tag `name`.
-    pub fn select_tag<'a>(&'a self, name: &str) -> impl Iterator<Item = NodeId> + 'a {
+    pub fn select_tag(&self, name: &str) -> impl Iterator<Item = NodeId> + '_ {
         let name = name.to_ascii_lowercase();
-        self.descendants(self.root()).filter(move |&id| {
-            self.element(id).map(|e| e.name == name).unwrap_or(false)
-        })
+        let doc = self.shorten();
+        doc.descendants(doc.root())
+            .filter(move |&id| doc.element(id).is_some_and(|e| e.name == name))
     }
 
     /// First element matching `selector`, if any.

@@ -1,4 +1,4 @@
-//! A forgiving HTML tokenizer.
+//! A forgiving HTML tokenizer that borrows the page.
 //!
 //! The tokenizer converts a byte-exact `&str` into a flat stream of
 //! [`Token`]s: start tags (with attributes), end tags, text, comments and
@@ -6,11 +6,20 @@
 //! that real-world manual pages exercise, with the same overriding rule:
 //! **never fail**. Malformed markup degrades to text.
 //!
+//! Tokens borrow the input: a [`Token<'a>`] is slices of the page, and a
+//! string is copied only when the token's value differs from its source
+//! bytes. Tag and attribute names are owned only when ASCII case folding
+//! changes them (`<DIV>`), and text and attribute values only when a
+//! character reference decodes (`&lt;`, see [`entities::decode_cow`]).
+//! Comments and doctypes are always borrowed. Manual pages are lower-case
+//! markup with few entities, so almost every token is allocation-free.
+//!
 //! Raw-text elements (`<script>`, `<style>`) swallow their content up to
 //! the matching close tag, so JavaScript in manual pages cannot confuse
 //! element extraction.
 
 use crate::entities;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A markup malformation the tokenizer or DOM builder recovered from.
@@ -52,9 +61,7 @@ impl fmt::Display for MarkupDefectKind {
             MarkupDefectKind::UnterminatedComment => f.write_str("unterminated comment"),
             MarkupDefectKind::UnterminatedDoctype => f.write_str("unterminated doctype"),
             MarkupDefectKind::UnterminatedTag => f.write_str("tag cut off by end of input"),
-            MarkupDefectKind::UnterminatedAttrValue => {
-                f.write_str("unterminated attribute value")
-            }
+            MarkupDefectKind::UnterminatedAttrValue => f.write_str("unterminated attribute value"),
             MarkupDefectKind::StrayEndTag { name } => {
                 write!(f, "stray end tag `</{name}>` with no open element")
             }
@@ -77,23 +84,25 @@ impl fmt::Display for MarkupDefect {
     }
 }
 
-/// One lexical unit of an HTML document.
+/// One lexical unit of an HTML document, borrowing from the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<name attr="value" …>`; `self_closing` records a trailing `/>`.
+    /// Names are lower-cased, attribute values entity-decoded.
     StartTag {
-        name: String,
-        attrs: Vec<(String, String)>,
+        name: Cow<'a, str>,
+        attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
         self_closing: bool,
     },
-    /// `</name>`.
-    EndTag { name: String },
-    /// A run of character data with entities already decoded.
-    Text(String),
+    /// `</name>`, lower-cased.
+    EndTag { name: Cow<'a, str> },
+    /// A run of character data with entities already decoded (raw text
+    /// inside `<script>`/`<style>` is passed through undecoded).
+    Text(Cow<'a, str>),
     /// `<!-- … -->`; retained because some vendors hide anchors in comments.
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE …>` (content after the keyword, trimmed).
-    Doctype(String),
+    Doctype(&'a str),
 }
 
 /// Streaming tokenizer over an input string.
@@ -151,95 +160,77 @@ impl<'a> Tokenizer<'a> {
         &self.input[self.pos..]
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.rest().starts_with(s)
+    /// The input byte at `pos + ahead`, if any.
+    fn peek(&self, ahead: usize) -> Option<u8> {
+        self.input.as_bytes().get(self.pos + ahead).copied()
     }
 
     /// Consume raw text up to (not including) `</name`, for raw-text elements.
-    fn next_raw_text(&mut self, name: &str) -> Option<Token> {
+    fn next_raw_text(&mut self, name: &str) -> Option<Token<'a>> {
         let rest = self.rest();
-        let close = format!("</{name}");
-        // Case-insensitive scan that stops at the first match: lowercasing
-        // the whole remaining input per raw-text element is O(remaining)
-        // allocation each time — quadratic on a page of many `<script>`s.
-        let end = find_ascii_ci(rest, &close).unwrap_or(rest.len());
+        let end = find_close_tag(rest, name).unwrap_or(rest.len());
         self.raw_text_end = None;
         if end == 0 {
             // Immediately at the close tag; fall through to normal tokenizing.
             return self.next_token();
         }
         self.pos += end;
-        Some(Token::Text(rest[..end].to_string()))
+        Some(Token::Text(Cow::Borrowed(&rest[..end])))
     }
 
-    fn next_token(&mut self) -> Option<Token> {
+    fn next_token(&mut self) -> Option<Token<'a>> {
         if self.pos >= self.input.len() {
             return None;
         }
         if let Some(name) = self.raw_text_end {
             return self.next_raw_text(name);
         }
-        if self.starts_with("<!--") {
-            return Some(self.consume_comment());
+        if self.peek(0) != Some(b'<') {
+            return Some(self.consume_text());
         }
-        if self.starts_with("<!") {
-            return Some(self.consume_doctype());
+        match self.peek(1) {
+            Some(b'!') if self.rest().starts_with("<!--") => Some(self.consume_comment()),
+            Some(b'!') => Some(self.consume_doctype()),
+            Some(b'/') => Some(self.consume_end_tag()),
+            // The `<` opens a tag only when a tag name can begin after it;
+            // otherwise it is literal text (e.g. "a < b").
+            Some(c) if c.is_ascii_alphabetic() => Some(self.consume_start_tag()),
+            _ => Some(self.consume_text()),
         }
-        if self.starts_with("</") {
-            return Some(self.consume_end_tag());
-        }
-        if self.starts_with("<") && self.tag_name_follows() {
-            return Some(self.consume_start_tag());
-        }
-        Some(self.consume_text())
     }
 
-    /// True when the char after `<` can begin a tag name; otherwise the `<`
-    /// is literal text (e.g. "a < b").
-    fn tag_name_follows(&self) -> bool {
-        self.rest()[1..]
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_alphabetic())
-            .unwrap_or(false)
-    }
-
-    fn consume_comment(&mut self) -> Token {
+    fn consume_comment(&mut self) -> Token<'a> {
         let body_start = self.pos + 4;
         match self.input[body_start..].find("-->") {
             Some(end) => {
-                let body = &self.input[body_start..body_start + end];
                 self.pos = body_start + end + 3;
-                Token::Comment(body.to_string())
+                Token::Comment(&self.input[body_start..body_start + end])
             }
             None => {
                 // Unterminated comment: swallow to end of input.
                 self.record_defect(MarkupDefectKind::UnterminatedComment, self.pos);
-                let body = &self.input[body_start..];
                 self.pos = self.input.len();
-                Token::Comment(body.to_string())
+                Token::Comment(&self.input[body_start..])
             }
         }
     }
 
-    fn consume_doctype(&mut self) -> Token {
+    fn consume_doctype(&mut self) -> Token<'a> {
         let body_start = self.pos + 2;
         match self.input[body_start..].find('>') {
             Some(end) => {
-                let body = &self.input[body_start..body_start + end];
                 self.pos = body_start + end + 1;
-                Token::Doctype(body.trim().to_string())
+                Token::Doctype(self.input[body_start..body_start + end].trim())
             }
             None => {
                 self.record_defect(MarkupDefectKind::UnterminatedDoctype, self.pos);
-                let body = &self.input[body_start..];
                 self.pos = self.input.len();
-                Token::Doctype(body.trim().to_string())
+                Token::Doctype(self.input[body_start..].trim())
             }
         }
     }
 
-    fn consume_end_tag(&mut self) -> Token {
+    fn consume_end_tag(&mut self) -> Token<'a> {
         let tag_start = self.pos;
         let body_start = self.pos + 2;
         let rest = &self.input[body_start..];
@@ -250,37 +241,26 @@ impl<'a> Tokenizer<'a> {
             });
             rest.len()
         });
-        let name = rest[..end]
-            .trim()
-            .trim_end_matches('/')
-            .to_ascii_lowercase();
+        let name = ascii_lowercase(rest[..end].trim().trim_end_matches('/'));
         self.pos = body_start + end + if end < rest.len() { 1 } else { 0 };
         Token::EndTag { name }
     }
 
-    fn consume_start_tag(&mut self) -> Token {
+    fn consume_start_tag(&mut self) -> Token<'a> {
         let tag_start = self.pos;
-        let mut chars = self.rest().char_indices().skip(1).peekable();
-        // Tag name.
-        let mut name_end = self.rest().len();
-        for (i, c) in chars.by_ref() {
-            if c.is_whitespace() || c == '>' || c == '/' {
-                name_end = i;
-                break;
-            }
-        }
-        let name = self.rest()[1..name_end].to_ascii_lowercase();
-        let mut cursor = self.pos + name_end;
-        let (attrs, self_closing, after) =
-            parse_attrs(self.input, cursor, tag_start, &mut self.defects);
-        cursor = after;
-        self.pos = cursor;
-        if !self_closing && RAW_TEXT_ELEMENTS.contains(&name.as_str()) {
+        let rest = self.rest();
+        let name_end = tag_name_end(rest);
+        let name = ascii_lowercase(&rest[1..name_end]);
+        let (attrs, self_closing, after) = parse_attrs(
+            self.input,
+            self.pos + name_end,
+            tag_start,
+            &mut self.defects,
+        );
+        self.pos = after;
+        if !self_closing {
             // Remember to treat the following content as raw text.
-            self.raw_text_end = RAW_TEXT_ELEMENTS
-                .iter()
-                .find(|&&e| e == name)
-                .copied();
+            self.raw_text_end = RAW_TEXT_ELEMENTS.iter().find(|&&e| e == name).copied();
         }
         Token::StartTag {
             name,
@@ -289,17 +269,17 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn consume_text(&mut self) -> Token {
+    fn consume_text(&mut self) -> Token<'a> {
         let rest = self.rest();
+        let bytes = rest.as_bytes();
         // Text runs to the next '<' that opens markup, or end of input.
         let mut end = rest.len();
         let mut search_from = if rest.starts_with('<') { 1 } else { 0 };
         while let Some(off) = rest[search_from..].find('<') {
             let i = search_from + off;
-            let next = rest[i + 1..].chars().next();
             let opens_markup = matches!(
-                next,
-                Some(c) if c.is_ascii_alphabetic() || c == '/' || c == '!'
+                bytes.get(i + 1),
+                Some(&c) if c.is_ascii_alphabetic() || c == b'/' || c == b'!'
             );
             if opens_markup {
                 end = i;
@@ -307,38 +287,74 @@ impl<'a> Tokenizer<'a> {
             }
             search_from = i + 1;
         }
-        let text = &rest[..end];
         self.pos += end;
-        Token::Text(entities::decode(text))
+        Token::Text(entities::decode_cow(&rest[..end]))
     }
 }
 
-/// First byte offset of `needle` in `haystack` under ASCII
-/// case-insensitive comparison, without allocating. `needle` must be
-/// non-empty.
-fn find_ascii_ci(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    if h.len() < n.len() {
-        return None;
+/// `s` with ASCII letters lower-cased, copied only when that changes it.
+fn ascii_lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
-    (0..=h.len() - n.len()).find(|&i| {
-        h[i..i + n.len()]
-            .iter()
-            .zip(n)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    })
 }
+
+/// Byte offset in `tag` (which starts with `<`) where the tag name ends:
+/// the first `>`, `/` or whitespace character after the `<`, or the end
+/// of input. Whitespace is [`char::is_whitespace`], so a vertical tab or
+/// a no-break space ends the name too; only non-ASCII lead bytes pay for
+/// decoding a `char`.
+fn tag_name_end(tag: &str) -> usize {
+    let bytes = tag.as_bytes();
+    let mut i = 1;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b < 0x80 {
+            if b == b'>' || b == b'/' || (b as char).is_whitespace() {
+                return i;
+            }
+        } else if b >= 0xc0 && tag[i..].chars().next().is_some_and(char::is_whitespace) {
+            return i;
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
+/// First byte offset of `</name` in `haystack`, matching `name` ASCII
+/// case-insensitively, without allocating. Stops at the first match:
+/// lowercasing the remaining input per raw-text element would be
+/// O(remaining) work each time — quadratic on a page of many `<script>`s.
+fn find_close_tag(haystack: &str, name: &str) -> Option<usize> {
+    let h = haystack.as_bytes();
+    let n = name.as_bytes();
+    let mut from = 0;
+    while let Some(off) = haystack[from..].find("</") {
+        let at = from + off;
+        if h.get(at + 2..at + 2 + n.len())
+            .is_some_and(|candidate| candidate.eq_ignore_ascii_case(n))
+        {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// An attribute list: lower-cased names and entity-decoded values.
+type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
 
 /// Parse attributes starting at byte offset `start` (just after the tag
 /// name). Returns `(attrs, self_closing, position_after_tag)`; records
 /// recoveries against `tag_start` in `defects`.
-fn parse_attrs(
-    input: &str,
+fn parse_attrs<'a>(
+    input: &'a str,
     start: usize,
     tag_start: usize,
     defects: &mut Vec<MarkupDefect>,
-) -> (Vec<(String, String)>, bool, usize) {
+) -> (Attrs<'a>, bool, usize) {
     let mut attrs = Vec::new();
     let mut self_closing = false;
     let bytes = input.as_bytes();
@@ -372,7 +388,7 @@ fn parse_attrs(
                 {
                     i += 1;
                 }
-                let name = input[name_start..i].to_ascii_lowercase();
+                let name = &input[name_start..i];
                 // Skip whitespace before a possible '='.
                 let mut j = i;
                 while j < bytes.len() && bytes[j].is_ascii_whitespace() {
@@ -389,37 +405,38 @@ fn parse_attrs(
                 } else {
                     // Boolean attribute.
                     i = j.min(bytes.len());
-                    String::new()
+                    ""
                 };
                 if !name.is_empty() {
-                    attrs.push((name, entities::decode(&value)));
+                    attrs.push((ascii_lowercase(name), entities::decode_cow(value)));
                 }
             }
         }
     }
 }
 
-/// Parse a quoted or unquoted attribute value starting at `start`.
-fn parse_attr_value(
-    input: &str,
+/// Parse a quoted or unquoted attribute value starting at `start`;
+/// returns the raw (undecoded) value and the offset after it.
+fn parse_attr_value<'a>(
+    input: &'a str,
     start: usize,
     defects: &mut Vec<MarkupDefect>,
-) -> (String, usize) {
+) -> (&'a str, usize) {
     let bytes = input.as_bytes();
     if start >= bytes.len() {
-        return (String::new(), start);
+        return ("", start);
     }
     match bytes[start] {
         q @ (b'"' | b'\'') => {
             let rest = &input[start + 1..];
             match rest.find(q as char) {
-                Some(end) => (rest[..end].to_string(), start + 1 + end + 1),
+                Some(end) => (&rest[..end], start + 1 + end + 1),
                 None => {
                     defects.push(MarkupDefect {
                         kind: MarkupDefectKind::UnterminatedAttrValue,
                         offset: start,
                     });
-                    (rest.to_string(), input.len())
+                    (rest, input.len())
                 }
             }
         }
@@ -431,15 +448,15 @@ fn parse_attr_value(
             {
                 i += 1;
             }
-            (input[start..i].to_string(), i)
+            (&input[start..i], i)
         }
     }
 }
 
 impl<'a> Iterator for Tokenizer<'a> {
-    type Item = Token;
+    type Item = Token<'a>;
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         self.next_token()
     }
 }
@@ -448,17 +465,14 @@ impl<'a> Iterator for Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         Tokenizer::new(s).collect()
     }
 
-    fn start(name: &str, attrs: &[(&str, &str)]) -> Token {
+    fn start<'a>(name: &'a str, attrs: &[(&'a str, &'a str)]) -> Token<'a> {
         Token::StartTag {
             name: name.into(),
-            attrs: attrs
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            attrs: attrs.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
             self_closing: false,
         }
     }
@@ -519,14 +533,14 @@ mod tests {
     #[test]
     fn comment_and_doctype() {
         let t = toks("<!DOCTYPE html><!-- note --><p></p>");
-        assert_eq!(t[0], Token::Doctype("DOCTYPE html".into()));
-        assert_eq!(t[1], Token::Comment(" note ".into()));
+        assert_eq!(t[0], Token::Doctype("DOCTYPE html"));
+        assert_eq!(t[1], Token::Comment(" note "));
     }
 
     #[test]
     fn unterminated_comment_swallows_rest() {
         let t = toks("<!-- oops <p>never</p>");
-        assert_eq!(t, vec![Token::Comment(" oops <p>never</p>".into())]);
+        assert_eq!(t, vec![Token::Comment(" oops <p>never</p>")]);
     }
 
     #[test]

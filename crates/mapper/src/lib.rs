@@ -14,7 +14,7 @@
 //!   scoring with Eq. 2's weighted row-wise cosine;
 //! * [`eval`] — recall@top-k and MRR over ground-truth alignments, plus
 //!   the resolver that ties annotation entries to parsed-VDM parameters;
-//! * [`finetune`] — NetBERT domain adaptation: labelled context pairs
+//! * [`finetune`](mod@finetune) — NetBERT domain adaptation: labelled context pairs
 //!   with 1:10 negative sampling feeding the siamese objective (§6.3);
 //! * [`retrieval`] — sub-linear candidate ranking behind
 //!   [`retrieval::RetrievalMode`]: int8 quantized scanning and a

@@ -365,7 +365,7 @@ pub fn context_similarity(
 
 /// Weight of the IR score blended into the IR+DL composite's re-rank
 /// (0 = the paper's pure re-rank; the TF-IDF scores and Eq.-2 cosines are
-/// both in [0,1]-ish ranges so a fixed blend is meaningful).
+/// both in `[0, 1]`-ish ranges so a fixed blend is meaningful).
 pub const IR_BLEND: f32 = 0.35;
 
 /// Which ranking strategy a [`Mapper`] uses. Embedders are shared, not

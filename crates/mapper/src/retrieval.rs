@@ -1,6 +1,6 @@
 //! Sub-linear retrieval over the mapper's leaf embeddings (ROADMAP 3).
 //!
-//! The exact DL scan ([`Mapper::dl_scan`]) evaluates Eq. 2's k_V × k_U
+//! The exact DL scan (`Mapper::dl_scan`) evaluates Eq. 2's k_V × k_U
 //! cosine grid for **every** UDM leaf. Under the paper's uniform weights
 //! that grid collapses: with rows pre-scaled to unit norm,
 //!

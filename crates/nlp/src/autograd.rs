@@ -260,7 +260,7 @@ impl Tape {
     }
 
     /// Reverse pass from the scalar `loss` node. Returns per-node
-    /// gradients; index with [`Tape::grad_of`].
+    /// gradients; index with [`Gradients::grad_of`].
     pub fn backward(&self, loss: Var) -> Gradients {
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         let l = &self.nodes[loss.0].value;

@@ -16,7 +16,7 @@
 //! counterpart's loop, run against a reused buffer instead of a freshly
 //! allocated one:
 //!
-//! * [`matmul_into`] is the `(i,k,j)` loop of [`Matrix::matmul`]
+//! * `matmul_into` is the `(i,k,j)` loop of [`Matrix::matmul`]
 //!   verbatim — same `a[i][k] == 0.0` skip, same ascending-`k`
 //!   accumulation order, and the same memory-order inner `j` loop the
 //!   compiler vectorises. Attention scores `q·kᵀ` materialise `kᵀ` into
@@ -34,7 +34,7 @@
 //! ## Batching and memoisation
 //!
 //! [`BatchEncoder`] embeds many texts in one call with a per-worker
-//! [`Scratch`] arena (steady-state embedding allocates nothing but the
+//! `Scratch` arena (steady-state embedding allocates nothing but the
 //! output vector), and memoises embeddings in a bounded LRU keyed by the
 //! (clamped, truncated) token-id sequence under an Fx-style hash —
 //! repeated context phrases across eval cases are encoded exactly once.

@@ -7,7 +7,7 @@
 //! pooling choice — to produce one sentence vector.
 //!
 //! The same forward-pass code serves training (parameters as tape leaves
-//! whose gradients flow) and inference ([`Encoder::embed`]).
+//! whose gradients flow) and inference ([`Encoder::embed_ids`]).
 
 use crate::autograd::{Tape, Var};
 use crate::tensor::Matrix;

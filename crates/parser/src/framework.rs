@@ -281,15 +281,15 @@ fn markup_diag(severity: Severity, vendor: &str, url: &str, defect: &DefectRecor
         .with_vendor(vendor)
 }
 
-/// Run `parser` over `(url, html)` pages with the default (generous)
-/// [`IngestBudget`] — the `parsing()` + `validating()` workflow of
-/// Figure 2. See [`run_parser_with`].
 /// Pages per worker chunk: parsing one synthetic page is tens of
 /// microseconds, far below thread spawn cost, so workers take pages in
 /// batches (BENCH_parallel.json showed per-item fan-out losing to
 /// serial at 0.56×).
 const PARSE_MIN_CHUNK: usize = 32;
 
+/// Run `parser` over `(url, html)` pages with the default (generous)
+/// [`IngestBudget`] — the `parsing()` + `validating()` workflow of
+/// Figure 2. See [`run_parser_with`].
 pub fn run_parser<'a>(
     parser: &dyn VendorParser,
     pages: impl IntoIterator<Item = (&'a str, &'a str)>,

@@ -52,7 +52,7 @@ pub const KNOWN_VENDORS: [&str; 4] = ["cirrus", "helix", "norsk", "h4c"];
 
 /// The full-strength parser for a vendor name.
 ///
-/// Unknown names return [`NassimError::UnknownVendor`] carrying the
+/// Unknown names return [`NassimError::UnknownVendor`](nassim_diag::NassimError::UnknownVendor) carrying the
 /// registered vendor set, so callers can print an actionable message.
 pub fn parser_for(vendor: &str) -> Result<Box<dyn VendorParser>, nassim_diag::NassimError> {
     match vendor {

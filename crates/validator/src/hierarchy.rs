@@ -474,7 +474,7 @@ fn evidence_key(fingerprint: u64, pi: usize, page: &ParsedPage) -> u64 {
 }
 
 /// Digest of the page-local fields hierarchy evidence reads (part (c)
-/// of [`evidence_key`]): working views, examples, context path and
+/// of `evidence_key`): working views, examples, context path and
 /// `Enters:` marker. Together with the ordered [`graph_key`]s it
 /// determines a whole [`Derivation`], so a derivation can be cached
 /// under the page count, the ordered graph keys and the ordered digests.
@@ -519,7 +519,7 @@ fn write_evidence_fields(h: &mut Fnv1a, page: &ParsedPage) {
 }
 
 /// In-memory cache of per-page [`PageEvidence`] artifacts, keyed by
-/// [`evidence_key`]. Because the key embeds the whole-corpus template
+/// `evidence_key`. Because the key embeds the whole-corpus template
 /// fingerprint, a hit is always sound: the cached evidence was collected
 /// against a bit-identical template index at the same page position.
 #[derive(Default)]
@@ -636,7 +636,7 @@ impl EvidenceCache {
 
     /// Serialize for the artifact store: fixed-width hex keys, sorted
     /// for stable bytes. Keys embed the whole-corpus template
-    /// fingerprint (see [`evidence_key`]), so reloaded evidence can
+    /// fingerprint (see `evidence_key`), so reloaded evidence can
     /// only ever hit against a bit-identical template index. Hit/miss
     /// counters are deliberately not persisted.
     pub fn to_value(&self) -> Value {
@@ -707,7 +707,7 @@ pub fn derive_hierarchy<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> Derivation
 /// [`derive_hierarchy`] reusing per-page artifacts: compiled template
 /// graphs from `graphs` and hierarchy evidence from `evidence`. Evidence
 /// keys embed the whole-corpus template fingerprint (see
-/// [`evidence_key`]), so a prose-only page edit re-collects nothing and
+/// `evidence_key`), so a prose-only page edit re-collects nothing and
 /// a CLI edit anywhere re-collects everything — either way the output is
 /// identical to [`derive_hierarchy`] (modulo wall-clock stats).
 /// `graph_keys[i]` must be [`graph_key`] of `pages[i]`; the artifact
