@@ -124,12 +124,12 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Generate the manual of `style`'s vendor over `catalog`.
 /// Commands per worker chunk when rendering pages: each render is
-/// cheap enough that per-item fan-out barely broke even (0.92× in
-/// BENCH_parallel.json).
+/// cheap enough that per-item fan-out barely broke even (measured 0.92×
+/// serial at 4 workers).
 const RENDER_MIN_CHUNK: usize = 16;
 
+/// Generate the manual of `style`'s vendor over `catalog`.
 pub fn generate(style: &VendorStyle, catalog: &Catalog, opts: &GenOptions) -> Manual {
     let mut defects = Vec::new();
     let mut master = StdRng::seed_from_u64(opts.seed);

@@ -14,8 +14,7 @@
 //!
 //! Worker threads are created **once**, lazily, on the first call that
 //! wants them; subsequent calls reuse the parked threads with no spawn
-//! or teardown cost. The previous spawn-per-call engine survives in
-//! [`legacy`] as a benchmarking baseline for exactly that overhead.
+//! or teardown cost.
 //!
 //! Worker count resolution, in priority order:
 //! 1. a thread-local override installed by [`with_threads`] (used by
@@ -35,8 +34,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 
 mod pool;
-
-pub mod legacy;
 
 pub use pool::{debug_poison_workers, in_parallel_region, pool_stats, PoolStats};
 

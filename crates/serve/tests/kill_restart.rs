@@ -2,7 +2,9 @@
 //! mid-submit and restarted over the same journal directory. The oracle
 //! is byte parity — after recovery, `job-status` and an idempotent
 //! resubmit must answer byte-identically to an uninterrupted control
-//! daemon serving the same catalog.
+//! daemon serving the same catalog. The victim is killed either while
+//! streaming progress or after running under a seeded `NASSIM_CRASH`
+//! plan that tears its persists.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -56,16 +58,20 @@ struct DaemonProc {
     addr: SocketAddr,
 }
 
-fn spawn_daemon(journal: &Path) -> DaemonProc {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_nassim-serve"))
-        .env("NASSIM_SERVE_JOURNAL", journal)
+/// Spawn a daemon over `journal`; `crash` (`seed:rate`) arms the
+/// process-wide crash plan inside it, `None` runs it injection-free.
+fn spawn_daemon(journal: &Path, crash: Option<&str>) -> DaemonProc {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_nassim-serve"));
+    cmd.env("NASSIM_SERVE_JOURNAL", journal)
         .env("NASSIM_SERVE_VENDORS", "cirrus")
         .env_remove("NASSIM_CRASH")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
+        .stderr(Stdio::null());
+    if let Some(plan) = crash {
+        cmd.env("NASSIM_CRASH", plan);
+    }
+    let mut child = cmd.spawn().unwrap();
     // The daemon prints its address only after spawn-time recovery has
     // finished every pending journaled job.
     let stdout = child.stdout.take().unwrap();
@@ -109,24 +115,82 @@ fn ok_frame(raw: &[String], reply: &Reply) -> String {
     }
 }
 
-#[test]
-fn sigkilled_daemon_resumes_the_job_byte_identically() {
-    let pages = submit_pages();
-    let request = submit_request(&pages);
-
-    // Control: an uninterrupted daemon completing the same job.
-    let control_dir = temp_journal("control");
-    let control = spawn_daemon(&control_dir);
+/// An uninterrupted, injection-free daemon completing the job: its
+/// submit reply and `job-status` frames are the recovery oracle.
+fn control_frames(request: &Request, tag: &str) -> (String, String) {
+    let dir = temp_journal(tag);
+    let control = spawn_daemon(&dir, None);
     let mut client = control.client();
-    let (raw, reply) = client.request_full(&request).unwrap();
+    let (raw, reply) = client.request_full(request).unwrap();
     let control_ok = ok_frame(&raw, &reply);
     let (raw, reply) = client
-        .request_full(&Request::JobStatus { job: JOB.to_string() })
+        .request_full(&Request::JobStatus {
+            job: JOB.to_string(),
+        })
         .unwrap();
     let control_status = ok_frame(&raw, &reply);
     assert!(control_status.contains("\"done\""), "{control_status}");
     drop(client);
     control.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    (control_ok, control_status)
+}
+
+/// Restart injection-free over a killed victim's journal and check that
+/// `job-status` and an idempotent resubmit answer byte-identically to
+/// the control. Returns the restart's `jobs_recovered` health count.
+fn assert_recovers(
+    victim_dir: &Path,
+    request: &Request,
+    control: &(String, String),
+    what: &str,
+) -> f64 {
+    let (control_ok, control_status) = control;
+    // Spawn-time recovery finishes pending jobs before the address is
+    // printed.
+    let restarted = spawn_daemon(victim_dir, None);
+    let mut client = restarted.client();
+    let (raw, reply) = client
+        .request_full(&Request::JobStatus {
+            job: JOB.to_string(),
+        })
+        .unwrap();
+    let recovered_status = ok_frame(&raw, &reply);
+    assert_eq!(
+        &recovered_status, control_status,
+        "{what}: recovered job-status lost byte parity with the uninterrupted control"
+    );
+
+    // Idempotent resubmit: the recorded reply replays byte-identically,
+    // with no progress frames (nothing is re-run).
+    let (raw, reply) = client.request_full(request).unwrap();
+    assert_eq!(
+        raw.len(),
+        1,
+        "{what}: replayed reply must be a single frame: {raw:?}"
+    );
+    assert_eq!(
+        &ok_frame(&raw, &reply),
+        control_ok,
+        "{what}: resubmit diverged"
+    );
+
+    let recovered = match client.request(&Request::Health).unwrap() {
+        Reply::Ok(v) => match v.get("jobs_recovered") {
+            Some(serde::Value::Num(n)) => *n,
+            other => panic!("{what}: health missing jobs_recovered: {other:?}"),
+        },
+        other => panic!("{what}: health failed: {other:?}"),
+    };
+    drop(client);
+    restarted.shutdown();
+    recovered
+}
+
+#[test]
+fn sigkilled_daemon_resumes_the_job_byte_identically() {
+    let request = submit_request(&submit_pages());
+    let control = control_frames(&request, "control");
 
     // Victim: SIGKILL the daemon mid-submit. The intent record is
     // durable before the first progress frame is sent, so once a frame
@@ -134,7 +198,7 @@ fn sigkilled_daemon_resumes_the_job_byte_identically() {
     // (or even the reply) landed before the kill is timing — recovery
     // must answer identically in every case.
     let victim_dir = temp_journal("victim");
-    let victim = spawn_daemon(&victim_dir);
+    let victim = spawn_daemon(&victim_dir, None);
     let mut client = victim.client();
     client.send_line(&request.to_line()).unwrap();
     let first = client.read_raw().unwrap();
@@ -142,41 +206,35 @@ fn sigkilled_daemon_resumes_the_job_byte_identically() {
     victim.sigkill();
     drop(client);
 
-    // Restart over the same journal: spawn-time recovery finishes the
-    // job before the address is printed.
-    let restarted = spawn_daemon(&victim_dir);
-    let mut client = restarted.client();
-    let (raw, reply) = client
-        .request_full(&Request::JobStatus { job: JOB.to_string() })
-        .unwrap();
-    let recovered_status = ok_frame(&raw, &reply);
-    assert_eq!(
-        recovered_status, control_status,
-        "recovered job-status lost byte parity with the uninterrupted control"
-    );
-
-    // Idempotent resubmit: the recorded reply replays byte-identically,
-    // with no progress frames (nothing is re-run).
-    let (raw, reply) = client.request_full(&request).unwrap();
-    assert_eq!(raw.len(), 1, "replayed reply must be a single frame: {raw:?}");
-    assert_eq!(ok_frame(&raw, &reply), control_ok);
-
-    // The recovery is accounted in health.
-    let reply = client.request(&Request::Health).unwrap();
-    match reply {
-        Reply::Ok(v) => {
-            let n = match v.get("jobs_recovered") {
-                Some(serde::Value::Num(n)) => *n,
-                other => panic!("health missing jobs_recovered: {other:?}"),
-            };
-            assert!(n >= 1.0, "restart recovered no jobs");
-        }
-        other => panic!("health failed: {other:?}"),
-    }
-    drop(client);
-    restarted.shutdown();
-    let _ = std::fs::remove_dir_all(&control_dir);
+    let recovered = assert_recovers(&victim_dir, &request, &control, "mid-stream kill");
+    assert!(recovered >= 1.0, "restart recovered no jobs");
     let _ = std::fs::remove_dir_all(&victim_dir);
+}
+
+/// The victim runs under a seeded crash plan, so its submit may die
+/// typed at a persist kill point (a torn journal append or store save)
+/// or complete; it is then SIGKILLed. Either start must recover to the
+/// control's bytes.
+#[test]
+fn crash_armed_victims_recover_byte_identically() {
+    let request = submit_request(&submit_pages());
+    let control = control_frames(&request, "armed-control");
+    let mut died_typed = 0;
+    for seed in [3u64, 11, 42] {
+        let victim_dir = temp_journal(&format!("armed-victim-{seed}"));
+        let victim = spawn_daemon(&victim_dir, Some(&format!("{seed}:0.5")));
+        let mut client = victim.client();
+        let (_, reply) = client.request_full(&request).unwrap();
+        if !matches!(reply, Reply::Ok(_)) {
+            died_typed += 1;
+        }
+        drop(client);
+        victim.sigkill();
+
+        assert_recovers(&victim_dir, &request, &control, &format!("seed {seed}"));
+        let _ = std::fs::remove_dir_all(&victim_dir);
+    }
+    assert!(died_typed > 0, "the crash plan never fired in any victim");
 }
 
 #[test]

@@ -76,15 +76,15 @@ impl SyntaxAudit {
     }
 }
 
+/// Pages per worker chunk: template validation is microseconds per
+/// page, so per-item fan-out loses to serial (measured 0.68× at 4
+/// workers); chunks amortise the spawn cost.
+const AUDIT_MIN_CHUNK: usize = 64;
+
 /// Audit every CLI form of every parsed page.
 ///
 /// Pages are audited in parallel; per-page results are folded back in
 /// page order, so the failure list is identical to a serial sweep.
-/// Pages per worker chunk: template validation is microseconds per
-/// page, so per-item fan-out loses to serial (0.68× in
-/// BENCH_parallel.json); chunks amortise the spawn cost.
-const AUDIT_MIN_CHUNK: usize = 64;
-
 pub fn audit_corpus<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> SyntaxAudit {
     let per_page: Vec<PageSyntax> =
         nassim_exec::par_map_chunked(pages, AUDIT_MIN_CHUNK, |p| audit_page(p.borrow()));

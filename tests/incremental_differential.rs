@@ -81,13 +81,15 @@ proptest! {
     /// seeded edit plan (modify + add + remove), re-assimilating the
     /// revised manual through a warm store equals a cold full run
     /// bit-for-bit, and every byte-identical page is served from the
-    /// store rather than re-parsed.
+    /// store rather than re-parsed. `modify` reaches about half of the
+    /// base manual's ~82 pages, so light touch-ups and heavy rewrites
+    /// (1 % to 50 % of the pages) are both drawn.
     #[test]
     fn incremental_equals_full_under_seeded_revisions(
         vendor_idx in 0usize..4,
         gen_seed in 0u64..500,
         plan_seed in 0u64..500,
-        modify in 0usize..6,
+        modify in 0usize..42,
         add in 0usize..3,
         remove in 0usize..3,
     ) {
