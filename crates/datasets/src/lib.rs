@@ -37,7 +37,7 @@ pub mod udmgen;
 pub mod words;
 
 pub use catalog::{Catalog, CatalogCommand, CatalogParam, ViewDef};
-pub use corrupt::{CorruptKind, CorruptRates, CorruptionPlan, InjectedCorruption};
+pub use corrupt::{CorruptKind, CorruptionPlan};
 pub use manualgen::{InjectedDefect, Manual, ManualPage};
 pub use revision::{apply_edit_plan, EditPlan, RevisionReport};
 pub use style::{VendorStyle, VENDORS};

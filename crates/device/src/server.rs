@@ -382,10 +382,7 @@ mod tests {
 
     #[test]
     fn busy_fault_is_injected_and_logged() {
-        let plan = Arc::new(FaultPlan::new(
-            1,
-            crate::faults::FaultRates { busy: 1.0, ..Default::default() },
-        ));
+        let plan = Arc::new(FaultPlan::only(1, FaultKind::Busy, 1.0));
         let mut server = DeviceServer::spawn_with(model(), Some(Arc::clone(&plan))).unwrap();
         let mut client = DeviceClient::connect(server.addr()).unwrap();
         match client.exec("sysname core1").unwrap() {
@@ -395,16 +392,13 @@ mod tests {
         let log = plan.take_injections();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, FaultKind::Busy);
-        assert_eq!(log[0].request, "sysname core1");
+        assert_eq!(log[0].target, "sysname core1");
         server.stop();
     }
 
     #[test]
     fn reset_fault_drops_the_connection() {
-        let plan = Arc::new(FaultPlan::new(
-            2,
-            crate::faults::FaultRates { reset: 1.0, ..Default::default() },
-        ));
+        let plan = Arc::new(FaultPlan::only(2, FaultKind::Reset, 1.0));
         let mut server = DeviceServer::spawn_with(model(), Some(Arc::clone(&plan))).unwrap();
         let mut client = DeviceClient::connect(server.addr()).unwrap();
         let err = client.exec("sysname core1").unwrap_err();
@@ -415,10 +409,7 @@ mod tests {
 
     #[test]
     fn garble_fault_is_unparseable_but_typed() {
-        let plan = Arc::new(FaultPlan::new(
-            3,
-            crate::faults::FaultRates { garble: 1.0, ..Default::default() },
-        ));
+        let plan = Arc::new(FaultPlan::only(3, FaultKind::Garble, 1.0));
         let mut server = DeviceServer::spawn_with(model(), Some(Arc::clone(&plan))).unwrap();
         let mut client = DeviceClient::connect(server.addr()).unwrap();
         let err = client.exec("sysname core1").unwrap_err();

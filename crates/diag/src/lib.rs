@@ -2,7 +2,7 @@
 //!
 //! The paper's Validator exists because vendor manuals are messy; this
 //! crate makes the reproduction's own plumbing treat that messiness as
-//! *data* rather than as a reason to panic. Three pieces:
+//! *data* rather than as a reason to panic. Four pieces:
 //!
 //! - [`NassimError`]: the workspace-wide error enum with per-stage
 //!   variants, used wherever a stage can fail outright.
@@ -13,6 +13,11 @@
 //! - [`DiagSink`] / [`DiagReport`]: stages append diagnostics to a sink;
 //!   the finished report renders rustc-style human output and
 //!   round-trips through JSON for machine consumers.
+//! - [`chaos`]: the seeded fault-plan engine. Every chaos layer (device,
+//!   ingestion, serving, crash) draws its faults through one
+//!   [`chaos::SeededPlan`], so each run replays from its seed.
+
+pub mod chaos;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -2,10 +2,11 @@
 //! that drives it against a live daemon.
 //!
 //! Mirrors the device chaos layer ([`nassim_device::faults`]) on the
-//! *client* side of the serving protocol: a [`ServeFaultPlan`] decides
-//! deterministically, per scripted request, whether to disturb it and
-//! how — pacing the bytes out slowly ([`ServeFaultKind::SlowLoris`]),
-//! vanishing mid-frame ([`ServeFaultKind::Disconnect`]), sending garbage
+//! *client* side of the serving protocol: a [`ServeFaultPlan`] (a
+//! [`nassim_diag::chaos::SeededPlan`]) decides deterministically, per
+//! scripted request, whether to disturb it and how — pacing the bytes
+//! out slowly ([`ServeFaultKind::SlowLoris`]), vanishing mid-frame
+//! ([`ServeFaultKind::Disconnect`]), sending garbage
 //! ([`ServeFaultKind::Malformed`]), carrying an already-expired deadline
 //! ([`ServeFaultKind::Deadline`]) or surrounding it with a burst volley
 //! ([`ServeFaultKind::Burst`]). Every injection lands in a drainable
@@ -14,9 +15,7 @@
 
 use crate::client::ServeClient;
 use crate::protocol::{ErrKind, Reply, Request};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nassim_diag::chaos::{FaultClass, SeededPlan};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -43,9 +42,8 @@ pub enum ServeFaultKind {
     Burst,
 }
 
-impl ServeFaultKind {
-    /// All classes, in the order [`ServeFaultPlan::decide`] draws them.
-    pub const ALL: [ServeFaultKind; 5] = [
+impl FaultClass for ServeFaultKind {
+    const ALL: &'static [ServeFaultKind] = &[
         ServeFaultKind::SlowLoris,
         ServeFaultKind::Disconnect,
         ServeFaultKind::Malformed,
@@ -66,97 +64,9 @@ impl std::fmt::Display for ServeFaultKind {
     }
 }
 
-/// One recorded injection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedServeFault {
-    /// Monotonic injection sequence number (0-based).
-    pub seq: u64,
-    pub kind: ServeFaultKind,
-    /// Index of the scripted request the fault was injected on.
-    pub request: usize,
-}
-
-struct PlanState {
-    rng: StdRng,
-    seq: u64,
-    log: Vec<InjectedServeFault>,
-}
-
-/// A seeded, shareable serving fault plan (same discipline as the
-/// device [`nassim_device::faults::FaultPlan`]: one draw per class per
-/// request in [`ServeFaultKind::ALL`] order, first hit wins, so each
-/// run replays bit-for-bit from its seed).
-pub struct ServeFaultPlan {
-    rate: f64,
-    state: Mutex<PlanState>,
-}
-
-impl ServeFaultPlan {
-    /// Every class at the same `rate`, seeded.
-    pub fn uniform(seed: u64, rate: f64) -> ServeFaultPlan {
-        ServeFaultPlan {
-            rate,
-            state: Mutex::new(PlanState {
-                rng: StdRng::seed_from_u64(seed),
-                seq: 0,
-                log: Vec::new(),
-            }),
-        }
-    }
-
-    /// Build a plan from `NASSIM_SERVE_FAULTS=seed:rate` (the same
-    /// format as the device layer's `NASSIM_FAULTS`).
-    pub fn from_env() -> Option<ServeFaultPlan> {
-        let value = std::env::var("NASSIM_SERVE_FAULTS").ok()?;
-        let (seed, rate) = Self::parse_env_value(&value)?;
-        Some(ServeFaultPlan::uniform(seed, rate))
-    }
-
-    /// Parse a `seed:rate` spec.
-    pub fn parse_env_value(value: &str) -> Option<(u64, f64)> {
-        let (seed, rate) = value.split_once(':')?;
-        let seed: u64 = seed.trim().parse().ok()?;
-        let rate: f64 = rate.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        Some((seed, rate))
-    }
-
-    /// Decide whether scripted request `index` is disturbed, and how.
-    /// Fixed draws per request (one per class, even after a hit) so the
-    /// RNG stream — and therefore the whole run — replays from the seed.
-    pub fn decide(&self, index: usize) -> Option<ServeFaultKind> {
-        let mut state = self.state.lock();
-        let mut hit = None;
-        for kind in ServeFaultKind::ALL {
-            let drawn = self.rate > 0.0 && state.rng.gen_bool(self.rate);
-            if drawn && hit.is_none() {
-                hit = Some(kind);
-            }
-        }
-        if let Some(kind) = hit {
-            let seq = state.seq;
-            state.seq += 1;
-            state.log.push(InjectedServeFault {
-                seq,
-                kind,
-                request: index,
-            });
-        }
-        hit
-    }
-
-    /// Drain the injection log.
-    pub fn take_injections(&self) -> Vec<InjectedServeFault> {
-        std::mem::take(&mut self.state.lock().log)
-    }
-
-    /// Injections so far, without draining.
-    pub fn injection_count(&self) -> u64 {
-        self.state.lock().seq
-    }
-}
+/// A seeded serving fault plan; the target of a decision is the index
+/// of the scripted request.
+pub type ServeFaultPlan = SeededPlan<ServeFaultKind>;
 
 /// The outcome of one scripted request under chaos.
 #[derive(Debug, Clone)]
@@ -166,9 +76,8 @@ pub struct ChaosOutcome {
     /// The disturbance injected on this request, if any.
     pub fault: Option<ServeFaultKind>,
     /// Raw reply frames (progress + final), joined with `\n` — the
-    /// byte-parity unit. `None` only when the request itself was
-    /// replaced (malformed/deadline injections get their typed error
-    /// here instead).
+    /// byte-parity unit. Malformed and deadline injections replace the
+    /// request, so theirs are the typed error's frames.
     pub raw: String,
     /// The parsed final reply.
     pub reply: Reply,
@@ -225,12 +134,8 @@ pub fn run_chaos(
     let mut report = ChaosReport::default();
     for (index, request) in script.iter().enumerate() {
         let fault = plan.and_then(|p| p.decide(index));
-        let outcome = match fault {
-            None => {
-                let mut client = ServeClient::connect(addr)?;
-                let (raw, reply) = client.request_full(request)?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
-            }
+        let (raw, reply) = match fault {
+            None => ServeClient::connect(addr)?.request_full(request)?,
             Some(ServeFaultKind::SlowLoris) => {
                 // Trickle the request line out in small chunks; the
                 // reply must not differ from a clean send in any byte.
@@ -242,8 +147,7 @@ pub fn run_chaos(
                     client.send_bytes(piece)?;
                     std::thread::sleep(opts.loris_pause);
                 }
-                let (raw, reply) = client.read_reply_frames()?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
+                client.read_reply_frames()?
             }
             Some(ServeFaultKind::Disconnect) => {
                 // Half a frame, then vanish; the scripted request then
@@ -255,50 +159,34 @@ pub fn run_chaos(
                     rude.send_bytes(&line.as_bytes()[..line.len() / 2])?;
                     // Dropping the client closes the socket mid-frame.
                 }
-                let mut client = ServeClient::connect(addr)?;
-                let (raw, reply) = client.request_full(request)?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
+                ServeClient::connect(addr)?.request_full(request)?
             }
             Some(ServeFaultKind::Malformed) => {
                 report.malformed_injected += 1;
                 let mut client = ServeClient::connect(addr)?;
                 client.send_line("{\"op\": chaos-garbage !!!")?;
-                let (raw, reply) = client.read_reply_frames()?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
+                client.read_reply_frames()?
             }
             Some(ServeFaultKind::Deadline) => {
                 // A zero budget expires at the server's first check,
                 // deterministically, whatever the op.
                 report.deadline_injected += 1;
-                let doomed = match request.clone() {
-                    Request::QueryMapping {
-                        sequences, k, mode, ..
-                    } => Request::QueryMapping {
-                        sequences,
-                        k,
-                        deadline_ms: Some(0),
-                        mode,
-                    },
-                    Request::SubmitManual {
-                        vendor, pages, job, ..
-                    } => Request::SubmitManual {
-                        vendor,
-                        pages,
-                        deadline_ms: Some(0),
-                        job,
-                    },
+                let mut doomed = request.clone();
+                if let Request::QueryMapping { deadline_ms, .. }
+                | Request::SubmitManual { deadline_ms, .. } = &mut doomed
+                {
+                    *deadline_ms = Some(0);
+                } else {
                     // Ops without deadlines are disturbed as queries so
                     // the class still fires.
-                    _ => Request::QueryMapping {
+                    doomed = Request::QueryMapping {
                         sequences: vec!["chaos deadline probe".to_string()],
                         k: 1,
                         deadline_ms: Some(0),
                         mode: None,
-                    },
-                };
-                let mut client = ServeClient::connect(addr)?;
-                let (raw, reply) = client.request_full(&doomed)?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
+                    };
+                }
+                ServeClient::connect(addr)?.request_full(&doomed)?
             }
             Some(ServeFaultKind::Burst) => {
                 // A joined volley of concurrent queries; the daemon may
@@ -328,76 +216,15 @@ pub fn run_chaos(
                         _ => report.burst_other += 1,
                     }
                 }
-                let mut client = ServeClient::connect(addr)?;
-                let (raw, reply) = client.request_full(request)?;
-                ChaosOutcome { index, fault, raw: raw.join("\n"), reply }
+                ServeClient::connect(addr)?.request_full(request)?
             }
         };
-        report.outcomes.push(outcome);
+        report.outcomes.push(ChaosOutcome {
+            index,
+            fault,
+            raw: raw.join("\n"),
+            reply,
+        });
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn same_seed_same_injection_sequence() {
-        let a = ServeFaultPlan::uniform(9, 0.3);
-        let b = ServeFaultPlan::uniform(9, 0.3);
-        let seq_a: Vec<_> = (0..100).map(|i| a.decide(i)).collect();
-        let seq_b: Vec<_> = (0..100).map(|i| b.decide(i)).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(Option::is_some));
-    }
-
-    #[test]
-    fn zero_rate_never_injects() {
-        let plan = ServeFaultPlan::uniform(1, 0.0);
-        for i in 0..100 {
-            assert_eq!(plan.decide(i), None);
-        }
-        assert!(plan.take_injections().is_empty());
-    }
-
-    #[test]
-    fn log_is_ordered_and_drainable() {
-        let plan = ServeFaultPlan::uniform(5, 0.5);
-        let mut hits = 0u64;
-        for i in 0..60 {
-            if plan.decide(i).is_some() {
-                hits += 1;
-            }
-        }
-        let log = plan.take_injections();
-        assert_eq!(log.len() as u64, hits);
-        for (i, f) in log.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
-        }
-        assert!(plan.take_injections().is_empty());
-        assert_eq!(plan.injection_count(), hits);
-    }
-
-    #[test]
-    fn all_classes_fire_at_moderate_rates() {
-        let plan = ServeFaultPlan::uniform(3, 0.25);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..500 {
-            if let Some(k) = plan.decide(i) {
-                seen.insert(k);
-            }
-        }
-        for kind in ServeFaultKind::ALL {
-            assert!(seen.contains(&kind), "class {kind} never injected");
-        }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(ServeFaultPlan::parse_env_value("7:0.2"), Some((7, 0.2)));
-        assert_eq!(ServeFaultPlan::parse_env_value("7:1.5"), None);
-        assert_eq!(ServeFaultPlan::parse_env_value("x:0.2"), None);
-        assert_eq!(ServeFaultPlan::parse_env_value("7"), None);
-    }
 }

@@ -33,8 +33,7 @@
 //!   byte-identically to a fault-free run).
 //!
 //! Environment knobs: `NASSIM_SERVE_QUEUE=workers:queue` sizes
-//! admission, `NASSIM_SERVE_FAULTS=seed:rate` arms the chaos client,
-//! `NASSIM_SERVE_JOURNAL=<dir>` enables the job journal (the
+//! admission, `NASSIM_SERVE_JOURNAL=<dir>` enables the job journal (the
 //! `nassim-serve` binary), `NASSIM_SERVE_VENDORS=a,b` picks the served
 //! catalog, and `NASSIM_CRASH=seed:rate` (read by the core crate)
 //! injects seeded kill points into every durable write.
@@ -49,9 +48,7 @@ pub mod state;
 
 pub use admission::{Admission, AdmissionConfig, Deadline, Permit, ShedReason};
 pub use client::ServeClient;
-pub use faults::{
-    run_chaos, ChaosOptions, ChaosReport, InjectedServeFault, ServeFaultKind, ServeFaultPlan,
-};
+pub use faults::{run_chaos, ChaosOptions, ChaosReport, ServeFaultKind, ServeFaultPlan};
 pub use journal::{JobJournal, JobState, JournalRecord, JOURNAL_FILE};
 pub use protocol::{valid_job_id, ErrKind, ErrReply, Reply, Request, MAX_JOB_ID_LEN};
 pub use server::{CounterSnapshot, ServeConfig, ServeDaemon, ServeEvent, EVENT_LOG_CAP};

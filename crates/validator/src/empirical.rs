@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn dead_device_degrades_gracefully_instead_of_aborting() {
-        use nassim_device::faults::{FaultPlan, FaultRates};
+        use nassim_device::faults::{FaultKind, FaultPlan};
         use nassim_device::resilient::{ManualClock, ResiliencePolicy};
         use nassim_device::DeviceServer;
         use std::sync::Arc;
@@ -656,7 +656,7 @@ mod tests {
 
         let v = vdm();
         // Every request answers busy, forever: retries can never win.
-        let plan = Arc::new(FaultPlan::new(9, FaultRates { busy: 1.0, ..Default::default() }));
+        let plan = Arc::new(FaultPlan::only(9, FaultKind::Busy, 1.0));
         let mut server =
             DeviceServer::spawn_with(Arc::new(device_model()), Some(plan)).unwrap();
         let cfg = DevicePush {

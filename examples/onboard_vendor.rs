@@ -21,11 +21,12 @@
 //! store from that file first, so re-running after a manual revision
 //! re-parses only the changed pages (the store reports its hit counts).
 
-use nassim::datasets::corrupt::CorruptionPlan;
+use nassim::datasets::corrupt::{corrupt_pages, CorruptionPlan};
 use nassim::datasets::{catalog::Catalog, manualgen, style};
 use nassim::parser::{cirrus::ParserCirrus, run_parser};
 use nassim::pipeline::assimilate;
 use nassim::{assimilate_incremental, ArtifactStore};
+use nassim_diag::chaos::parse_spec;
 use nassim_html::IngestBudget;
 use std::path::PathBuf;
 
@@ -37,11 +38,11 @@ fn corruption_from_args() -> Result<Option<CorruptionPlan>, String> {
         let spec = args
             .get(pos + 1)
             .ok_or("--corrupt requires a seed:rate argument (e.g. --corrupt 17:0.2)")?;
-        let (seed, rate) = CorruptionPlan::parse_env_value(spec)
+        let (seed, rate) = parse_spec(spec)
             .ok_or_else(|| format!("bad --corrupt spec `{spec}` (expected seed:rate)"))?;
         return Ok(Some(CorruptionPlan::uniform(seed, rate)));
     }
-    Ok(CorruptionPlan::from_env())
+    Ok(CorruptionPlan::from_env("NASSIM_CORRUPT"))
 }
 
 /// Parse `--save-artifacts DIR` / `--load-artifacts DIR` from argv.
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut manual_pages = manual.pages.clone();
     let corrupted = match &plan {
         Some(plan) => {
-            let hit = plan.corrupt_pages(&mut manual_pages);
+            let hit = corrupt_pages(plan, &mut manual_pages);
             println!(
                 "corruption armed: {hit}/{} pages corrupted\n",
                 manual_pages.len()

@@ -20,6 +20,7 @@ use nassim::validator::empirical::{validate_on_device_with, DevicePush};
 use nassim_device::faults::{FaultKind, FaultPlan};
 use nassim_device::resilient::{Clock, ManualClock, ResiliencePolicy};
 use nassim_device::DeviceServer;
+use nassim_diag::chaos::FaultClass;
 use nassim_diag::Severity;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -133,7 +134,7 @@ fn chaos_matrix_masks_every_transient_fault() {
         );
         for (i, f) in injected.iter().enumerate() {
             assert_eq!(f.seq, i as u64, "log must be in injection order");
-            assert!(!f.request.is_empty());
+            assert!(!f.target.is_empty());
         }
         classes_seen.extend(injected.iter().map(|f| f.kind));
 
@@ -159,7 +160,7 @@ fn chaos_matrix_masks_every_transient_fault() {
     }
 
     // Across the seed matrix every fault class fired at least once.
-    for kind in FaultKind::ALL {
+    for &kind in FaultKind::ALL {
         assert!(classes_seen.contains(&kind), "class {kind:?} never injected");
     }
 }

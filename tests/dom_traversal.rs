@@ -18,6 +18,7 @@
 
 use nassim::datasets::corrupt::{mutate, CorruptKind};
 use nassim::datasets::{catalog::Catalog, manualgen, style, ManualPage};
+use nassim_diag::chaos::FaultClass;
 use nassim_html::dom::NodeKind;
 use nassim_html::{Document, IngestBudget, NodeId};
 use proptest::prelude::*;

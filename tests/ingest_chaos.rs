@@ -11,10 +11,11 @@
 // Test fixtures: unwrap/expect outside #[test] fns (helpers) are fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use nassim::datasets::corrupt::{CorruptKind, CorruptionPlan};
+use nassim::datasets::corrupt::{corrupt_pages, CorruptKind, CorruptionPlan};
 use nassim::datasets::{catalog::Catalog, manualgen, style, ManualPage};
 use nassim::parser::parser_for;
 use nassim::pipeline::{assimilate, Assimilation};
+use nassim_diag::chaos::FaultClass;
 use nassim_diag::Stage;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,11 +90,11 @@ fn chaos_matrix_accounts_for_every_injection() {
     // ── 3-seed × 6-class corruption matrix. ───────────────────────────
     let mut classes_injected: HashSet<CorruptKind> = HashSet::new();
     for seed in CORRUPT_SEEDS {
-        for kind in CorruptKind::ALL {
+        for &kind in CorruptKind::ALL {
             let label = format!("seed {seed} class {kind}");
             let plan = CorruptionPlan::only(seed, kind, CORRUPT_RATE);
             let mut pages = clean.clone();
-            let hit = plan.corrupt_pages(&mut pages);
+            let hit = corrupt_pages(&plan, &mut pages);
             let injections = plan.take_injections();
             assert_eq!(injections.len(), hit, "{label}");
             assert!(
@@ -103,7 +104,7 @@ fn chaos_matrix_accounts_for_every_injection() {
             );
             classes_injected.extend(injections.iter().map(|c| c.kind));
             let corrupted: HashSet<String> =
-                injections.iter().map(|c| c.url.clone()).collect();
+                injections.iter().map(|c| c.target.clone()).collect();
 
             // Never panics, never aborts: Ok even with bombs inside.
             let a = catch_unwind(AssertUnwindSafe(|| run_assimilation(&pages)))
@@ -206,7 +207,7 @@ fn chaos_matrix_accounts_for_every_injection() {
     }
 
     // Across the matrix, every corruption class genuinely fired.
-    for kind in CorruptKind::ALL {
+    for &kind in CorruptKind::ALL {
         assert!(classes_injected.contains(&kind), "class {kind} never injected");
     }
 }
@@ -217,7 +218,7 @@ fn chaos_run_is_replayable_from_its_seed() {
     let run = |seed: u64| {
         let plan = CorruptionPlan::uniform(seed, CORRUPT_RATE);
         let mut pages = clean.clone();
-        plan.corrupt_pages(&mut pages);
+        corrupt_pages(&plan, &mut pages);
         let a = run_assimilation(&pages);
         let htmls: Vec<String> = pages.into_iter().map(|p| p.html).collect();
         (

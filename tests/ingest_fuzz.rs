@@ -13,6 +13,7 @@
 use nassim::datasets::corrupt::{mutate, CorruptKind};
 use nassim::datasets::{catalog::Catalog, manualgen, style, ManualPage};
 use nassim::parser::parser_for;
+use nassim_diag::chaos::FaultClass;
 use nassim_html::{Document, IngestBudget, Tokenizer};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -14,6 +14,7 @@
 
 use nassim_datasets::catalog::Catalog;
 use nassim_datasets::{manualgen, style};
+use nassim_diag::chaos::{FaultClass, Injection};
 use nassim_serve::{
     run_chaos, AdmissionConfig, ChaosOptions, ErrKind, Reply, Request, ServeClient, ServeConfig,
     ServeDaemon, ServeEvent, ServeFaultKind, ServeFaultPlan, ServeState, ShedReason, StateOptions,
@@ -104,7 +105,7 @@ fn chaos_script() -> Vec<Request> {
     script
 }
 
-fn count_kind(injections: &[nassim_serve::InjectedServeFault], kind: ServeFaultKind) -> usize {
+fn count_kind(injections: &[Injection<ServeFaultKind>], kind: ServeFaultKind) -> usize {
     injections.iter().filter(|f| f.kind == kind).count()
 }
 
@@ -242,7 +243,7 @@ fn chaos_matrix_byte_parity_and_accounting() {
     }
 
     // The matrix exercised every fault class at least once.
-    for kind in ServeFaultKind::ALL {
+    for &kind in ServeFaultKind::ALL {
         assert!(
             classes_seen.contains(&kind),
             "matrix never injected {kind}; widen the script or adjust seeds"
