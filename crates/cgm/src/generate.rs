@@ -20,7 +20,10 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathToken {
     Keyword(String),
-    Param { name: String, ty: crate::types::ParamType },
+    Param {
+        name: String,
+        ty: crate::types::ParamType,
+    },
 }
 
 /// Enumerate up to `cap` distinct root→sink paths as token sequences.
@@ -177,11 +180,17 @@ mod tests {
         ] {
             let g = graph(t);
             for inst in enumerate_instances(&g, 50, &mut rng) {
-                assert!(is_cli_match(&inst, &g), "template `{t}` rejected generated `{inst}`");
+                assert!(
+                    is_cli_match(&inst, &g),
+                    "template `{t}` rejected generated `{inst}`"
+                );
             }
             for _ in 0..25 {
                 let inst = sample_instance(&g, &mut rng);
-                assert!(is_cli_match(&inst, &g), "template `{t}` rejected sampled `{inst}`");
+                assert!(
+                    is_cli_match(&inst, &g),
+                    "template `{t}` rejected sampled `{inst}`"
+                );
             }
         }
     }

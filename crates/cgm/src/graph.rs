@@ -48,7 +48,10 @@ impl CgmNode {
     /// "Valid" nodes carry a token; markers/root are traversed silently.
     /// (The paper's `is_valid_node` in Algorithm 4.)
     pub fn is_valid(&self) -> bool {
-        matches!(self, CgmNode::Keyword(_) | CgmNode::Param { .. } | CgmNode::Sink)
+        matches!(
+            self,
+            CgmNode::Keyword(_) | CgmNode::Param { .. } | CgmNode::Sink
+        )
     }
 }
 

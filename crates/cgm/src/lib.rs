@@ -38,6 +38,6 @@ pub mod graph;
 pub mod matching;
 pub mod types;
 
-pub use graph::{CliGraph, CgmNode, CgmNodeId};
+pub use graph::{CgmNode, CgmNodeId, CliGraph};
 pub use matching::{is_cli_match, match_with_bindings, MatchOutcome};
 pub use types::ParamType;

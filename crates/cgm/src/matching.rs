@@ -191,7 +191,10 @@ mod tests {
         let g = graph(FILTER_POLICY);
         assert!(!is_cli_match("filter-policy import", &g)); // missing selector
         assert!(!is_cli_match("filter-policy acl-name acl1", &g)); // missing mode
-        assert!(!is_cli_match("filter-policy acl-name acl1 export extra", &g));
+        assert!(!is_cli_match(
+            "filter-policy acl-name acl1 export extra",
+            &g
+        ));
         assert!(!is_cli_match("filter-policies acl-name acl1 export", &g));
         assert!(!is_cli_match("", &g));
     }
@@ -241,7 +244,10 @@ mod tests {
         let g = graph("neighbor { <ip-addr> | <ip-prefix/length> } [ remote-as { <as-num> | route-map <name> } ]");
         assert!(is_cli_match("neighbor 10.0.0.1", &g));
         assert!(is_cli_match("neighbor 10.0.0.0/24 remote-as 65001", &g));
-        assert!(is_cli_match("neighbor 10.0.0.1 remote-as route-map rm1", &g));
+        assert!(is_cli_match(
+            "neighbor 10.0.0.1 remote-as route-map rm1",
+            &g
+        ));
         assert!(!is_cli_match("neighbor 10.0.0.1 remote-as", &g));
     }
 

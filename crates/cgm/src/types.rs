@@ -38,20 +38,42 @@ impl ParamType {
             ParamType::Ipv6
         } else if has("prefix/length") || has("ipv4-prefix") || (has("prefix") && has("length")) {
             ParamType::Ipv4Prefix
-        } else if has("ip-addr") || has("ipv4") || t == "ip" || has("ip-address")
-            || has("peer-address") || has("neighbor-address") || has("source-address")
-            || has("destination-address") || t.ends_with("-address") && !has("mac")
+        } else if has("ip-addr")
+            || has("ipv4")
+            || t == "ip"
+            || has("ip-address")
+            || has("peer-address")
+            || has("neighbor-address")
+            || has("source-address")
+            || has("destination-address")
+            || t.ends_with("-address") && !has("mac")
         {
             ParamType::Ipv4
         } else if has("mac") {
             ParamType::Mac
         } else if has("interface") && (has("number") || has("type")) || has("ifname") {
             ParamType::Interface
-        } else if has("number") || has("-id") || t == "id" || has("count") || has("priority")
-            || has("value") || has("cost") || has("metric") || has("limit") || has("mtu")
-            || has("port") || has("weight") || has("interval") || has("time") || has("length")
-            || has("seconds") || has("preference") || has("distance") || has("instance")
-            || has("label") || has("index")
+        } else if has("number")
+            || has("-id")
+            || t == "id"
+            || has("count")
+            || has("priority")
+            || has("value")
+            || has("cost")
+            || has("metric")
+            || has("limit")
+            || has("mtu")
+            || has("port")
+            || has("weight")
+            || has("interval")
+            || has("time")
+            || has("length")
+            || has("seconds")
+            || has("preference")
+            || has("distance")
+            || has("instance")
+            || has("label")
+            || has("index")
         {
             ParamType::Int
         } else {
@@ -82,8 +104,7 @@ impl ParamType {
             ParamType::Ipv4 => is_ipv4(value),
             ParamType::Ipv4Prefix => match value.split_once('/') {
                 Some((addr, len)) => {
-                    is_ipv4(addr)
-                        && len.parse::<u8>().map(|l| l <= 32).unwrap_or(false)
+                    is_ipv4(addr) && len.parse::<u8>().map(|l| l <= 32).unwrap_or(false)
                 }
                 None => false,
             },
@@ -140,14 +161,10 @@ impl ParamType {
                 rng.gen_range(0u8..=255),
                 rng.gen_range(0u8..=255)
             ),
-            ParamType::Interface => format!(
-                "10GE1/0/{}",
-                rng.gen_range(1u8..48)
-            ),
+            ParamType::Interface => format!("10GE1/0/{}", rng.gen_range(1u8..48)),
             ParamType::Str => {
-                const WORDS: &[&str] = &[
-                    "test", "core", "edge", "mgmt", "prod", "lab", "dmz", "wan",
-                ];
+                const WORDS: &[&str] =
+                    &["test", "core", "edge", "mgmt", "prod", "lab", "dmz", "wan"];
                 format!(
                     "{}{}",
                     WORDS[rng.gen_range(0..WORDS.len())],
@@ -177,9 +194,11 @@ fn is_ipv4(s: &str) -> bool {
 
 fn is_mac(s: &str) -> bool {
     let colon_form = s.split(':').count() == 6
-        && s.split(':').all(|p| p.len() == 2 && p.chars().all(|c| c.is_ascii_hexdigit()));
+        && s.split(':')
+            .all(|p| p.len() == 2 && p.chars().all(|c| c.is_ascii_hexdigit()));
     let dash_form = s.split('-').count() == 3
-        && s.split('-').all(|p| p.len() == 4 && p.chars().all(|c| c.is_ascii_hexdigit()));
+        && s.split('-')
+            .all(|p| p.len() == 4 && p.chars().all(|c| c.is_ascii_hexdigit()));
     colon_form || dash_form
 }
 
@@ -264,7 +283,11 @@ mod tests {
         ] {
             for _ in 0..50 {
                 let v = ty.sample(&mut rng);
-                assert!(ty.matches(&v), "{} sample {v} does not self-match", ty.name());
+                assert!(
+                    ty.matches(&v),
+                    "{} sample {v} does not self-match",
+                    ty.name()
+                );
             }
         }
     }

@@ -224,7 +224,12 @@ mod tests {
     use super::*;
 
     fn ident<'a>() -> impl Fn(&'a str, usize) -> PRes<&'a str> + Copy {
-        |s, pos| take_while1(|c: char| c.is_ascii_alphanumeric() || c == '-', "identifier")(s, pos)
+        |s, pos| {
+            take_while1(
+                |c: char| c.is_ascii_alphanumeric() || c == '-',
+                "identifier",
+            )(s, pos)
+        }
     }
 
     #[test]

@@ -267,7 +267,10 @@ mod tests {
         assert_eq!(branches[0], vec![Ele::Param("acl-number".into())]);
         assert_eq!(
             branches[1],
-            vec![Ele::Keyword("ip-prefix".into()), Ele::Param("ip-prefix-name".into())]
+            vec![
+                Ele::Keyword("ip-prefix".into()),
+                Ele::Param("ip-prefix-name".into())
+            ]
         );
         let Ele::Select(modes) = &s.elements[2] else {
             panic!("expected select group");
@@ -296,7 +299,8 @@ mod tests {
 
     #[test]
     fn render_round_trips() {
-        let text = "filter-policy { <acl-number> | ip-prefix <ip-prefix-name> } { import | export }";
+        let text =
+            "filter-policy { <acl-number> | ip-prefix <ip-prefix-name> } { import | export }";
         let s = parse_template(text).unwrap();
         assert_eq!(s.render(), text);
         // Render of a re-parse is a fixed point.
@@ -353,7 +357,10 @@ mod tests {
     #[test]
     fn keywords_params_depth_accessors() {
         let s = parse_template("stp instance <instance-id> root { primary | secondary }").unwrap();
-        assert_eq!(s.keywords(), vec!["stp", "instance", "root", "primary", "secondary"]);
+        assert_eq!(
+            s.keywords(),
+            vec!["stp", "instance", "root", "primary", "secondary"]
+        );
         assert_eq!(s.params(), vec!["instance-id"]);
         assert_eq!(s.depth(), 1);
         assert_eq!(s.head_keyword(), Some("stp"));

@@ -81,18 +81,18 @@ impl Deserialize for SyntaxErrorKind {
                 match name.as_str() {
                     "UnpairedOpen" => Ok(SyntaxErrorKind::UnpairedOpen(one_char(inner)?)),
                     "UnpairedClose" => Ok(SyntaxErrorKind::UnpairedClose(one_char(inner)?)),
-                    "MismatchedClose" => Ok(SyntaxErrorKind::MismatchedClose {
-                        expected: one_char(
-                            inner
-                                .get("expected")
-                                .ok_or_else(|| DeError::new("MismatchedClose.expected missing"))?,
-                        )?,
-                        found: one_char(
-                            inner
-                                .get("found")
-                                .ok_or_else(|| DeError::new("MismatchedClose.found missing"))?,
-                        )?,
-                    }),
+                    "MismatchedClose" => {
+                        Ok(SyntaxErrorKind::MismatchedClose {
+                            expected: one_char(inner.get("expected").ok_or_else(|| {
+                                DeError::new("MismatchedClose.expected missing")
+                            })?)?,
+                            found: one_char(
+                                inner
+                                    .get("found")
+                                    .ok_or_else(|| DeError::new("MismatchedClose.found missing"))?,
+                            )?,
+                        })
+                    }
                     "Other" => match inner {
                         Value::Str(s) => Ok(SyntaxErrorKind::Other(s.clone())),
                         other => Err(DeError::new(format!(
@@ -159,7 +159,8 @@ impl SyntaxDiagnosis {
         let mut d = nassim_diag::Diagnostic::warning(nassim_diag::Stage::Syntax, self.to_string())
             .with_span(nassim_diag::SourceSpan::point(source, self.pos));
         if !self.candidate_fixes.is_empty() {
-            d.message.push_str(&format!(": try `{}`", self.candidate_fixes[0]));
+            d.message
+                .push_str(&format!(": try `{}`", self.candidate_fixes[0]));
         }
         d
     }
@@ -212,7 +213,10 @@ fn scan_brackets(s: &str) -> Option<SyntaxDiagnosis> {
                             _ => '>',
                         };
                         return Some(SyntaxDiagnosis {
-                            kind: SyntaxErrorKind::MismatchedClose { expected, found: ch },
+                            kind: SyntaxErrorKind::MismatchedClose {
+                                expected,
+                                found: ch,
+                            },
                             pos: i,
                             candidate_fixes: fixes_for_mismatch(s, open_pos, i, expected),
                         });
@@ -336,7 +340,10 @@ mod tests {
         // Multiple candidate fixes, all parseable.
         assert!(d.candidate_fixes.len() >= 2, "{:?}", d.candidate_fixes);
         for fix in &d.candidate_fixes {
-            assert!(crate::template::parse_template(fix).is_ok(), "fix fails: {fix}");
+            assert!(
+                crate::template::parse_template(fix).is_ok(),
+                "fix fails: {fix}"
+            );
         }
     }
 
@@ -353,7 +360,10 @@ mod tests {
         let d = validate_template("a { b ] c").unwrap_err();
         assert_eq!(
             d.kind,
-            SyntaxErrorKind::MismatchedClose { expected: '}', found: ']' }
+            SyntaxErrorKind::MismatchedClose {
+                expected: '}',
+                found: ']'
+            }
         );
         assert_eq!(d.candidate_fixes, vec!["a { b } c".to_string()]);
     }
@@ -405,7 +415,10 @@ mod tests {
         let kinds = vec![
             SyntaxErrorKind::UnpairedOpen('['),
             SyntaxErrorKind::UnpairedClose('}'),
-            SyntaxErrorKind::MismatchedClose { expected: '}', found: ']' },
+            SyntaxErrorKind::MismatchedClose {
+                expected: '}',
+                found: ']',
+            },
             SyntaxErrorKind::BadPlaceholder,
             SyntaxErrorKind::EmptyBranch,
             SyntaxErrorKind::EmptyTemplate,

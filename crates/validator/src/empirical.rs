@@ -358,7 +358,9 @@ pub fn validate_on_device_with(
     let mut out = DeviceValidation::default();
 
     for &id in nodes {
-        let Some(graph) = matcher.graph(id) else { continue };
+        let Some(graph) = matcher.graph(id) else {
+            continue;
+        };
         out.nodes_tested += 1;
         let instance = generate::sample_instance(graph, &mut rng);
         let template = vdm.node(id).template.clone();
@@ -496,8 +498,20 @@ mod tests {
     fn vdm() -> Vdm {
         let mut v = Vdm::new("helix", "system view");
         let root = v.root();
-        let bgp = v.add_node(root, "bgp <as-number>", "system view", None, Some("BGP view".into()));
-        v.add_node(bgp, "peer <ipv4-address> as-number <as-number>", "BGP view", None, None);
+        let bgp = v.add_node(
+            root,
+            "bgp <as-number>",
+            "system view",
+            None,
+            Some("BGP view".into()),
+        );
+        v.add_node(
+            bgp,
+            "peer <ipv4-address> as-number <as-number>",
+            "BGP view",
+            None,
+            None,
+        );
         v.add_node(root, "sysname <host-name>", "system view", None, None);
         v
     }
@@ -536,7 +550,9 @@ mod tests {
         let report = validate_config_files(&v, [("f1", lines.as_slice())]);
         assert_eq!(report.matched, 0);
         match &report.failures[0].reason {
-            UnmatchReason::WrongHierarchy { matched_elsewhere_in } => {
+            UnmatchReason::WrongHierarchy {
+                matched_elsewhere_in,
+            } => {
                 assert_eq!(matched_elsewhere_in, &vec!["BGP view".to_string()]);
             }
             other => panic!("expected WrongHierarchy, got {other:?}"),
@@ -572,9 +588,16 @@ mod tests {
         // Device model mirrors the VDM (a correct manual).
         let mut m = DeviceModel::new("system view");
         m.add_view("BGP view", "system view").unwrap();
-        m.add_command("system view", "bgp <as-number>", Some("BGP view")).unwrap();
-        m.add_command("BGP view", "peer <ipv4-address> as-number <as-number>", None).unwrap();
-        m.add_command("system view", "sysname <host-name>", None).unwrap();
+        m.add_command("system view", "bgp <as-number>", Some("BGP view"))
+            .unwrap();
+        m.add_command(
+            "BGP view",
+            "peer <ipv4-address> as-number <as-number>",
+            None,
+        )
+        .unwrap();
+        m.add_command("system view", "sysname <host-name>", None)
+            .unwrap();
         let mut server = DeviceServer::spawn(Arc::new(m)).unwrap();
 
         let nodes: Vec<VdmNodeId> = v.walk();
@@ -590,9 +613,16 @@ mod tests {
         use nassim_device::DeviceModel;
         let mut m = DeviceModel::new("system view");
         m.add_view("BGP view", "system view").unwrap();
-        m.add_command("system view", "bgp <as-number>", Some("BGP view")).unwrap();
-        m.add_command("BGP view", "peer <ipv4-address> as-number <as-number>", None).unwrap();
-        m.add_command("system view", "sysname <host-name>", None).unwrap();
+        m.add_command("system view", "bgp <as-number>", Some("BGP view"))
+            .unwrap();
+        m.add_command(
+            "BGP view",
+            "peer <ipv4-address> as-number <as-number>",
+            None,
+        )
+        .unwrap();
+        m.add_command("system view", "sysname <host-name>", None)
+            .unwrap();
         m
     }
 
@@ -630,7 +660,11 @@ mod tests {
         assert_eq!(result.nodes_tested, 3);
         assert_eq!(result.accepted, 3, "failures: {:?}", result.failures);
         assert_eq!(result.readback_ok, 3);
-        assert!(result.degraded.is_empty(), "degraded: {:?}", result.degraded);
+        assert!(
+            result.degraded.is_empty(),
+            "degraded: {:?}",
+            result.degraded
+        );
         // Faults were really injected and really retried…
         let injected = plan.take_injections();
         assert!(!injected.is_empty(), "no faults injected at 25%");
@@ -657,8 +691,7 @@ mod tests {
         let v = vdm();
         // Every request answers busy, forever: retries can never win.
         let plan = Arc::new(FaultPlan::only(9, FaultKind::Busy, 1.0));
-        let mut server =
-            DeviceServer::spawn_with(Arc::new(device_model()), Some(plan)).unwrap();
+        let mut server = DeviceServer::spawn_with(Arc::new(device_model()), Some(plan)).unwrap();
         let cfg = DevicePush {
             seed: 7,
             policy: ResiliencePolicy {
@@ -701,9 +734,16 @@ mod tests {
         v.add_node(root, "phantom-feature <x>", "system view", None, None);
         let mut m = DeviceModel::new("system view");
         m.add_view("BGP view", "system view").unwrap();
-        m.add_command("system view", "bgp <as-number>", Some("BGP view")).unwrap();
-        m.add_command("BGP view", "peer <ipv4-address> as-number <as-number>", None).unwrap();
-        m.add_command("system view", "sysname <host-name>", None).unwrap();
+        m.add_command("system view", "bgp <as-number>", Some("BGP view"))
+            .unwrap();
+        m.add_command(
+            "BGP view",
+            "peer <ipv4-address> as-number <as-number>",
+            None,
+        )
+        .unwrap();
+        m.add_command("system view", "sysname <host-name>", None)
+            .unwrap();
         let mut server = DeviceServer::spawn(Arc::new(m)).unwrap();
 
         let nodes: Vec<VdmNodeId> = v.walk();

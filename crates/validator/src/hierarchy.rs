@@ -130,8 +130,7 @@ impl AmbiguousView {
                 )
             }
         };
-        let mut d =
-            nassim_diag::Diagnostic::warning(nassim_diag::Stage::Hierarchy, message);
+        let mut d = nassim_diag::Diagnostic::warning(nassim_diag::Stage::Hierarchy, message);
         if let Some(&(pi, _)) = self.candidates.first() {
             d = d.with_span(nassim_diag::SourceSpan::point(url_of(pi), 0));
         }
@@ -734,8 +733,10 @@ pub fn derive_hierarchy_cached<P: Borrow<ParsedPage> + Sync>(
         .enumerate()
         .map(|(pi, page)| evidence_key(fingerprint, pi, page.borrow()))
         .collect();
-    let mut per_page: Vec<Option<Arc<PageEvidence>>> =
-        keys.iter().map(|k| evidence.entries.get(k).cloned()).collect();
+    let mut per_page: Vec<Option<Arc<PageEvidence>>> = keys
+        .iter()
+        .map(|k| evidence.entries.get(k).cloned())
+        .collect();
     let missing: Vec<usize> = per_page
         .iter()
         .enumerate()
@@ -759,7 +760,12 @@ pub fn derive_hierarchy_cached<P: Borrow<ParsedPage> + Sync>(
             e.unwrap_or_else(|| Arc::new(collect_page_evidence(i, pages[i].borrow(), &corpus)))
         })
         .collect();
-    fold_evidence(pages, per_page.iter().map(|e| e.as_ref()), cgm_build_time, t1)
+    fold_evidence(
+        pages,
+        per_page.iter().map(|e| e.as_ref()),
+        cgm_build_time,
+        t1,
+    )
 }
 
 /// Collect one page's hierarchy evidence against the corpus template
@@ -805,15 +811,12 @@ fn collect_page_evidence(pi: usize, page: &ParsedPage, corpus: &CorpusGraphs) ->
         let child_indent = indent_of(last);
         let child_instance = last.trim_start();
         // Step 1: the innermost line must instantiate this page's CLI.
-        let self_matches = corpus
-            .candidates(child_instance)
-            .into_iter()
-            .any(|(p, c)| {
-                p == pi
-                    && corpus.graphs[p].graphs[c]
-                        .as_ref()
-                        .is_some_and(|g| is_cli_match(child_instance, g))
-            });
+        let self_matches = corpus.candidates(child_instance).into_iter().any(|(p, c)| {
+            p == pi
+                && corpus.graphs[p].graphs[c]
+                    .as_ref()
+                    .is_some_and(|g| is_cli_match(child_instance, g))
+        });
         if !self_matches {
             ev.self_match_failures += 1;
             continue;
@@ -880,7 +883,11 @@ fn fold_evidence<'a, P: Borrow<ParsedPage>>(
             *root_votes.entry(v.clone()).or_default() += 1;
         }
         for (view, opener) in &ev.votes {
-            *votes.entry(view.clone()).or_default().entry(*opener).or_default() += 1;
+            *votes
+                .entry(view.clone())
+                .or_default()
+                .entry(*opener)
+                .or_default() += 1;
         }
     }
 
@@ -893,8 +900,7 @@ fn fold_evidence<'a, P: Borrow<ParsedPage>>(
         let (winner, winner_votes) = ranked[0];
         openers.insert(view.clone(), winner);
         let total_votes: usize = ranked.iter().map(|&(_, v)| v).sum();
-        if ranked.len() > 1
-            && (winner_votes as f64) < (total_votes as f64) * WINNER_SHARE_THRESHOLD
+        if ranked.len() > 1 && (winner_votes as f64) < (total_votes as f64) * WINNER_SHARE_THRESHOLD
         {
             ambiguous.push(AmbiguousView {
                 view: view.clone(),
@@ -946,12 +952,7 @@ mod tests {
     use super::*;
     use nassim_corpus::CorpusEntry;
 
-    fn page(
-        url: &str,
-        cli: &str,
-        view: &str,
-        examples: Vec<Vec<&str>>,
-    ) -> ParsedPage {
+    fn page(url: &str, cli: &str, view: &str, examples: Vec<Vec<&str>>) -> ParsedPage {
         ParsedPage {
             url: url.to_string(),
             entry: Arc::new(CorpusEntry {
@@ -973,7 +974,12 @@ mod tests {
     fn bgp_pages() -> Vec<ParsedPage> {
         vec![
             // 0: the opener.
-            page("p0", "bgp <as-number>", "system view", vec![vec!["bgp 100"]]),
+            page(
+                "p0",
+                "bgp <as-number>",
+                "system view",
+                vec![vec!["bgp 100"]],
+            ),
             // 1, 2: children with the paper's Figure-3 style snippets.
             page(
                 "p1",
@@ -1007,9 +1013,18 @@ mod tests {
         let mut pages = bgp_pages();
         // A second opener-looking template that also matches "vpn 300"-ish
         // parents: make p3 a child whose snippet shows a different parent.
-        pages.push(page("p3", "msdp-peer <ipv4-address>", "BGP view",
-            vec![vec!["ospf 1", " msdp-peer 2.2.2.2"]]));
-        pages.push(page("p4", "ospf <ospf-process-id>", "system view", vec![vec!["ospf 1"]]));
+        pages.push(page(
+            "p3",
+            "msdp-peer <ipv4-address>",
+            "BGP view",
+            vec![vec!["ospf 1", " msdp-peer 2.2.2.2"]],
+        ));
+        pages.push(page(
+            "p4",
+            "ospf <ospf-process-id>",
+            "system view",
+            vec![vec!["ospf 1"]],
+        ));
         let d = derive_hierarchy(&pages);
         // BGP view now has votes for both `bgp` (2) and `ospf` (1) — the
         // runner-up exceeds the conflict ratio.
@@ -1028,7 +1043,11 @@ mod tests {
     fn no_evidence_flags_ambiguity() {
         let pages = vec![page("p0", "mystery <x>", "Orphan view", vec![])];
         let d = derive_hierarchy(&pages);
-        let amb = d.ambiguous.iter().find(|a| a.view == "Orphan view").unwrap();
+        let amb = d
+            .ambiguous
+            .iter()
+            .find(|a| a.view == "Orphan view")
+            .unwrap();
         assert_eq!(amb.reason, AmbiguityReason::NoEvidence);
     }
 
@@ -1061,7 +1080,12 @@ mod tests {
     #[test]
     fn nested_views_derive_transitively() {
         let pages = vec![
-            page("p0", "bgp <as-number>", "system view", vec![vec!["bgp 100"]]),
+            page(
+                "p0",
+                "bgp <as-number>",
+                "system view",
+                vec![vec!["bgp 100"]],
+            ),
             page(
                 "p1",
                 "ipv4-family unicast",

@@ -74,7 +74,9 @@ impl VdmConstructionReport {
         ];
         rows.push((
             "#Config Files",
-            self.config_files.map(|n| n.to_string()).unwrap_or_else(|| "/".into()),
+            self.config_files
+                .map(|n| n.to_string())
+                .unwrap_or_else(|| "/".into()),
         ));
         rows.push((
             "Matching Ratio",
@@ -88,7 +90,11 @@ impl VdmConstructionReport {
 
 impl fmt::Display for VdmConstructionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "VDM construction report — {} ({})", self.vendor, self.device_model)?;
+        writeln!(
+            f,
+            "VDM construction report — {} ({})",
+            self.vendor, self.device_model
+        )?;
         for (label, value) in self.rows() {
             writeln!(f, "  {label:<28} {value}")?;
         }

@@ -8,9 +8,9 @@
 
 use nassim_corpus::Fnv1a;
 use nassim_parser::ParsedPage;
-use std::borrow::Borrow;
 use nassim_syntax::{validate_template, SyntaxDiagnosis};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// One failed CLI template.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,7 +67,10 @@ impl SyntaxAudit {
             self.affected_pages()
         );
         for f in &self.failures {
-            out.push_str(&format!("  {} [CLIs[{}]]: {} — `{}`\n", f.url, f.cli_index, f.diagnosis, f.cli));
+            out.push_str(&format!(
+                "  {} [CLIs[{}]]: {} — `{}`\n",
+                f.url, f.cli_index, f.diagnosis, f.cli
+            ));
             for fix in &f.diagnosis.candidate_fixes {
                 out.push_str(&format!("      candidate fix: {fix}\n"));
             }
@@ -218,9 +221,7 @@ mod tests {
             .defects
             .iter()
             .filter_map(|d| match d {
-                manualgen::InjectedDefect::SyntaxError { page_url, .. } => {
-                    Some(page_url.as_str())
-                }
+                manualgen::InjectedDefect::SyntaxError { page_url, .. } => Some(page_url.as_str()),
                 _ => None,
             })
             .collect();

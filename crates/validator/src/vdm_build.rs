@@ -95,14 +95,15 @@ pub fn build_vdm<P: Borrow<ParsedPage>>(
         };
         for &pi in members {
             placed[pi] = true;
-            let opens: &[&str] = opens_of_page
-                .get(&pi)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
+            let opens: &[&str] = opens_of_page.get(&pi).map(Vec::as_slice).unwrap_or(&[]);
             for (ci, cli) in pages[pi].borrow().entry.clis.iter().enumerate() {
                 // Only the primary form opens the sub-view; undo/no forms
                 // tear configuration down.
-                let enters = if ci == 0 { opens.first().copied() } else { None };
+                let enters = if ci == 0 {
+                    opens.first().copied()
+                } else {
+                    None
+                };
                 let node = vdm.add_node(
                     parent_node,
                     cli.clone(),
@@ -118,7 +119,10 @@ pub fn build_vdm<P: Borrow<ParsedPage>>(
     }
 
     let unplaced_pages = (0..pages.len()).filter(|&i| !placed[i]).collect();
-    VdmBuild { vdm, unplaced_pages }
+    VdmBuild {
+        vdm,
+        unplaced_pages,
+    }
 }
 
 #[cfg(test)]
@@ -149,12 +153,24 @@ mod tests {
 
     fn corpus() -> Vec<ParsedPage> {
         vec![
-            page("p0", vec!["bgp <as-number>", "undo bgp <as-number>"], "system view",
-                 vec![vec!["bgp 100"]]),
-            page("p1", vec!["peer <ipv4-address> group <group-name>"], "BGP view",
-                 vec![vec!["bgp 100", " peer 10.1.1.1 group test"]]),
-            page("p2", vec!["sysname <host-name>"], "system view",
-                 vec![vec!["sysname core1"]]),
+            page(
+                "p0",
+                vec!["bgp <as-number>", "undo bgp <as-number>"],
+                "system view",
+                vec![vec!["bgp 100"]],
+            ),
+            page(
+                "p1",
+                vec!["peer <ipv4-address> group <group-name>"],
+                "BGP view",
+                vec![vec!["bgp 100", " peer 10.1.1.1 group test"]],
+            ),
+            page(
+                "p2",
+                vec!["sysname <host-name>"],
+                "system view",
+                vec![vec!["sysname core1"]],
+            ),
         ]
     }
 
