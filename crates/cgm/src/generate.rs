@@ -45,7 +45,7 @@ fn dfs_paths(
     if out.len() >= cap {
         return;
     }
-    for next in graph.valid_successors(node) {
+    for &next in graph.valid_successors(node) {
         match graph.node(next) {
             CgmNode::Sink => {
                 if !current.is_empty() && out.len() < cap {

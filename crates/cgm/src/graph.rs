@@ -74,26 +74,38 @@ impl fmt::Display for CgmNode {
 
 /// The CLI graph model: a single-root, single-sink DAG over
 /// keyword/parameter/marker nodes.
+///
+/// Adjacency and valid-successor sets are both stored flat (CSR): node
+/// `n`'s entries are `list[start[n]..start[n + 1]]`, so a graph is a
+/// handful of allocations whatever its size.
 #[derive(Debug, Clone)]
 pub struct CliGraph {
     nodes: Vec<CgmNode>,
-    /// Adjacency: successors of each node.
-    succ: Vec<Vec<CgmNodeId>>,
+    /// Successors of each node, in edge insertion order.
+    succ_start: Vec<usize>,
+    succ: Vec<CgmNodeId>,
+    /// Valid-successor sets, computed once at build time; the matchers
+    /// read them once per token.
+    valid_start: Vec<usize>,
+    valid: Vec<CgmNodeId>,
 }
 
 impl CliGraph {
     /// Build the CGM of a parsed template.
     pub fn build(struc: &CliStruc) -> CliGraph {
-        let mut g = CliGraph {
+        CliGraph::from_struc(struc.clone())
+    }
+
+    /// [`CliGraph::build`] consuming the template structure, so keyword
+    /// and parameter names move into the graph instead of being copied.
+    pub fn from_struc(struc: CliStruc) -> CliGraph {
+        let mut b = Builder {
             nodes: vec![CgmNode::Root, CgmNode::Sink],
-            succ: vec![Vec::new(), Vec::new()],
+            edges: Vec::new(),
         };
-        let exits = g.build_seq(&struc.elements, vec![g.root()]);
-        let sink = g.sink();
-        for e in exits {
-            g.add_edge(e, sink);
-        }
-        g
+        let exit = b.seq(struc.elements, CgmNodeId(0));
+        b.add_edge(exit, CgmNodeId(1));
+        b.finish()
     }
 
     /// Root node id (always 0).
@@ -113,7 +125,7 @@ impl CliGraph {
 
     /// Successors of `id` in insertion order.
     pub fn successors(&self, id: CgmNodeId) -> &[CgmNodeId] {
-        &self.succ[id.0]
+        &self.succ[self.succ_start[id.0]..self.succ_start[id.0 + 1]]
     }
 
     /// Total node count (including root/sink/markers).
@@ -134,96 +146,54 @@ impl CliGraph {
             .count()
     }
 
-    fn push(&mut self, node: CgmNode) -> CgmNodeId {
-        let id = CgmNodeId(self.nodes.len());
-        self.nodes.push(node);
-        self.succ.push(Vec::new());
-        id
-    }
-
-    fn add_edge(&mut self, from: CgmNodeId, to: CgmNodeId) {
-        if !self.succ[from.0].contains(&to) {
-            self.succ[from.0].push(to);
+    /// The template's leading keyword, if it starts with one — the
+    /// graph-side [`CliStruc::head_keyword`]: only the first element is
+    /// wired to the root, so that keyword is the root's one successor.
+    pub fn head_keyword(&self) -> Option<&str> {
+        match self.successors(self.root()) {
+            [first] => match self.node(*first) {
+                CgmNode::Keyword(k) => Some(k),
+                _ => None,
+            },
+            _ => None,
         }
-    }
-
-    /// Wire a sequence of elements after the nodes in `prevs`; returns the
-    /// exit frontier of the sequence.
-    fn build_seq(&mut self, eles: &[Ele], mut prevs: Vec<CgmNodeId>) -> Vec<CgmNodeId> {
-        for ele in eles {
-            prevs = self.build_ele(ele, prevs);
-        }
-        prevs
-    }
-
-    fn build_ele(&mut self, ele: &Ele, prevs: Vec<CgmNodeId>) -> Vec<CgmNodeId> {
-        match ele {
-            Ele::Keyword(k) => {
-                let node = self.push(CgmNode::Keyword(k.clone()));
-                for p in prevs {
-                    self.add_edge(p, node);
-                }
-                vec![node]
-            }
-            Ele::Param(name) => {
-                let node = self.push(CgmNode::Param {
-                    name: name.clone(),
-                    ty: ParamType::infer(name),
-                });
-                for p in prevs {
-                    self.add_edge(p, node);
-                }
-                vec![node]
-            }
-            Ele::Select(branches) => self.build_group(branches, false, prevs),
-            Ele::Option(branches) => self.build_group(branches, true, prevs),
-        }
-    }
-
-    fn build_group(
-        &mut self,
-        branches: &[Vec<Ele>],
-        option: bool,
-        prevs: Vec<CgmNodeId>,
-    ) -> Vec<CgmNodeId> {
-        let start = self.push(CgmNode::GroupStart { option });
-        let end = self.push(CgmNode::GroupEnd { option });
-        for p in prevs {
-            self.add_edge(p, start);
-        }
-        for branch in branches {
-            let exits = self.build_seq(branch, vec![start]);
-            for e in exits {
-                self.add_edge(e, end);
-            }
-        }
-        if option {
-            // Algorithm 3: options may be skipped entirely.
-            self.add_edge(start, end);
-        }
-        vec![end]
     }
 
     /// Algorithm 4's `get_valid_succssors`: the reachable *valid* nodes
     /// (keyword/param/sink) from `id`, traversing marker nodes silently.
-    pub fn valid_successors(&self, id: CgmNodeId) -> Vec<CgmNodeId> {
-        let mut out = Vec::new();
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack: Vec<CgmNodeId> = self.successors(id).to_vec();
-        while let Some(n) = stack.pop() {
-            if visited[n.0] {
-                continue;
-            }
-            visited[n.0] = true;
-            if self.node(n).is_valid() {
-                if !out.contains(&n) {
-                    out.push(n);
+    /// Precomputed at build time, so a lookup is a slice borrow.
+    pub fn valid_successors(&self, id: CgmNodeId) -> &[CgmNodeId] {
+        &self.valid[self.valid_start[id.0]..self.valid_start[id.0 + 1]]
+    }
+
+    /// Fill the flat valid-successor sets. Each node's set is a
+    /// depth-first walk from its successors (pushed in insertion order,
+    /// popped last-first) that records valid nodes and expands markers,
+    /// visiting every node at most once per walk. One stamp vector
+    /// serves every walk: a node counts as visited when its stamp is the
+    /// current walk's.
+    fn compute_valid_successors(&mut self) {
+        let n = self.nodes.len();
+        let mut stamp = vec![usize::MAX; n];
+        let mut stack: Vec<CgmNodeId> = Vec::new();
+        self.valid_start.reserve_exact(n + 1);
+        self.valid_start.push(0);
+        for from in 0..n {
+            stack.extend_from_slice(self.successors(CgmNodeId(from)));
+            while let Some(next) = stack.pop() {
+                if stamp[next.0] == from {
+                    continue;
                 }
-            } else {
-                stack.extend_from_slice(self.successors(n));
+                stamp[next.0] = from;
+                if self.nodes[next.0].is_valid() {
+                    self.valid.push(next);
+                } else {
+                    let (lo, hi) = (self.succ_start[next.0], self.succ_start[next.0 + 1]);
+                    stack.extend_from_slice(&self.succ[lo..hi]);
+                }
             }
+            self.valid_start.push(self.valid.len());
         }
-        out
     }
 
     /// Render a GraphViz `dot` description — handy for debugging and used
@@ -245,13 +215,110 @@ impl CliGraph {
             };
             out.push_str(&format!("  n{i} [shape={shape}, label=\"{label}\"];\n"));
         }
-        for (i, succs) in self.succ.iter().enumerate() {
-            for s in succs {
+        for i in 0..self.nodes.len() {
+            for s in self.successors(CgmNodeId(i)) {
                 out.push_str(&format!("  n{i} -> n{};\n", s.0));
             }
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// Construction state: the nodes so far and the edges in insertion
+/// order, turned into a [`CliGraph`]'s flat layout by `finish`.
+///
+/// Every element has exactly one exit node — a keyword or parameter
+/// node, or the closing marker of a group — so construction threads a
+/// single predecessor through each sequence.
+struct Builder {
+    nodes: Vec<CgmNode>,
+    edges: Vec<(CgmNodeId, CgmNodeId)>,
+}
+
+impl Builder {
+    fn push(&mut self, node: CgmNode) -> CgmNodeId {
+        self.nodes.push(node);
+        CgmNodeId(self.nodes.len() - 1)
+    }
+
+    fn add_edge(&mut self, from: CgmNodeId, to: CgmNodeId) {
+        if !self.edges.contains(&(from, to)) {
+            self.edges.push((from, to));
+        }
+    }
+
+    /// Wire a sequence of elements after `prev`; returns the sequence's
+    /// exit node.
+    fn seq(&mut self, eles: Vec<Ele>, mut prev: CgmNodeId) -> CgmNodeId {
+        for ele in eles {
+            prev = self.ele(ele, prev);
+        }
+        prev
+    }
+
+    fn ele(&mut self, ele: Ele, prev: CgmNodeId) -> CgmNodeId {
+        let node = match ele {
+            Ele::Keyword(k) => self.push(CgmNode::Keyword(k)),
+            Ele::Param(name) => {
+                let ty = ParamType::infer(&name);
+                self.push(CgmNode::Param { name, ty })
+            }
+            Ele::Select(branches) => return self.group(branches, false, prev),
+            Ele::Option(branches) => return self.group(branches, true, prev),
+        };
+        self.add_edge(prev, node);
+        node
+    }
+
+    fn group(&mut self, branches: Vec<Vec<Ele>>, option: bool, prev: CgmNodeId) -> CgmNodeId {
+        let start = self.push(CgmNode::GroupStart { option });
+        let end = self.push(CgmNode::GroupEnd { option });
+        self.add_edge(prev, start);
+        for branch in branches {
+            let exit = self.seq(branch, start);
+            self.add_edge(exit, end);
+        }
+        if option {
+            // Algorithm 3: options may be skipped entirely.
+            self.add_edge(start, end);
+        }
+        end
+    }
+
+    /// Lay the edges out flat, grouped by source node and in insertion
+    /// order within a node, then precompute the valid-successor sets.
+    fn finish(self) -> CliGraph {
+        let n = self.nodes.len();
+        // Counts, then exclusive prefix sums: `start[i]` opens node i.
+        let mut start = vec![0usize; n + 1];
+        for (from, _) in &self.edges {
+            start[from.0] += 1;
+        }
+        let mut sum = 0;
+        for s in start.iter_mut() {
+            let count = *s;
+            *s = sum;
+            sum += count;
+        }
+        // Placing advances each `start[i]` to where node i + 1 opens;
+        // shifting right by one restores the openings.
+        let mut succ = vec![CgmNodeId(0); self.edges.len()];
+        for (from, to) in &self.edges {
+            succ[start[from.0]] = *to;
+            start[from.0] += 1;
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        let mut g = CliGraph {
+            nodes: self.nodes,
+            succ_start: start,
+            succ,
+            valid_start: Vec::new(),
+            valid: Vec::new(),
+        };
+        g.compute_valid_successors();
+        g
     }
 }
 

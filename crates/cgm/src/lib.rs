@@ -39,5 +39,5 @@ pub mod matching;
 pub mod types;
 
 pub use graph::{CgmNode, CgmNodeId, CliGraph};
-pub use matching::{is_cli_match, match_with_bindings, MatchOutcome};
+pub use matching::{is_cli_match, is_tokens_match, match_with_bindings, MatchOutcome};
 pub use types::ParamType;

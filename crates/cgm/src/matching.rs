@@ -36,77 +36,126 @@ pub fn is_cli_match(cli: &str, graph: &CliGraph) -> bool {
     match_frontier(cli, graph).matched
 }
 
+/// [`is_cli_match`] on an instance already split into tokens: a caller
+/// matching one instance against many templates splits it once.
+pub fn is_tokens_match(tokens: &[&str], graph: &CliGraph) -> bool {
+    frontier(tokens.iter().copied(), graph).matched
+}
+
 /// Frontier matcher returning progress information.
 pub fn match_frontier(cli: &str, graph: &CliGraph) -> MatchOutcome {
-    let tokens: Vec<&str> = cli.split_whitespace().collect();
-    if tokens.is_empty() {
-        return MatchOutcome {
-            matched: false,
-            tokens_matched: 0,
+    frontier(cli.split_whitespace(), graph)
+}
+
+/// The frontier walk behind [`match_frontier`] and [`is_tokens_match`].
+/// While one state matches each token (the common case) it allocates
+/// nothing: that state is held by value and its candidates are borrowed
+/// from the graph. Several matched states go to `many`, their merged
+/// candidates to `merged`; both buffers are reused from token to token.
+fn frontier<'t>(tokens: impl Iterator<Item = &'t str>, graph: &CliGraph) -> MatchOutcome {
+    let mut tokens = tokens.peekable();
+    let mut many: Vec<CgmNodeId> = Vec::new();
+    let mut merged: Vec<CgmNodeId> = Vec::new();
+    // The candidates are `valid_successors(state)` while one state
+    // matched, else `merged`. `next_candis = get_graph_root(...)`: the
+    // walk starts from the root's valid successors.
+    let mut single = Some(graph.root());
+    let mut tokens_matched = 0;
+    while let Some(token) = tokens.next() {
+        let candis = match single {
+            Some(state) => graph.valid_successors(state),
+            None => &merged[..],
         };
-    }
-    // `next_candis = get_graph_root(...)` — the valid successors of root.
-    let mut candis = graph.valid_successors(graph.root());
-    let mut matched_states: Vec<CgmNodeId>;
-    for (i, token) in tokens.iter().enumerate() {
-        matched_states = match_next(token, &candis, graph);
-        if matched_states.is_empty() {
+        let step = match_next(token, candis, graph, &mut many);
+        let matched: &[CgmNodeId] = match &step {
+            Step::Dead => {
+                return MatchOutcome {
+                    matched: false,
+                    tokens_matched,
+                }
+            }
+            Step::One(state) => std::slice::from_ref(state),
+            Step::Many => &many,
+        };
+        tokens_matched += 1;
+        if tokens.peek().is_none() {
+            // `is_reach_end(next_candis)`: after consuming every token,
+            // accept iff one of the matched states has the sink among its
+            // valid successors.
+            let sink = graph.sink();
+            let reach_end = matched
+                .iter()
+                .any(|&st| graph.valid_successors(st).contains(&sink));
             return MatchOutcome {
-                matched: false,
-                tokens_matched: i,
+                matched: reach_end,
+                tokens_matched,
             };
         }
-        // `get_next_candis`.
-        let mut next = Vec::new();
-        for &st in &matched_states {
-            for s in graph.valid_successors(st) {
-                if !next.contains(&s) {
-                    next.push(s);
+        // `get_next_candis`: the union of the matched states' valid
+        // successors, in first-seen order.
+        if let [state] = matched {
+            single = Some(*state);
+        } else {
+            single = None;
+            merged.clear();
+            for &st in matched {
+                for &s in graph.valid_successors(st) {
+                    if !merged.contains(&s) {
+                        merged.push(s);
+                    }
                 }
             }
         }
-        candis = next;
-        // States that already reached the sink stay reachable via `candis`
-        // containing the sink itself.
-        if i + 1 == tokens.len() {
-            // `is_reach_end(next_candis)`: after consuming every token,
-            // accept iff one of the matched states has the sink among its
-            // valid successors (or was itself followed only by the sink).
-            let reach_end = matched_states
-                .iter()
-                .any(|&st| graph.valid_successors(st).contains(&graph.sink()))
-                || candis.contains(&graph.sink());
-            return MatchOutcome {
-                matched: reach_end,
-                tokens_matched: tokens.len(),
-            };
-        }
     }
-    unreachable!("loop returns on the final token");
+    // No tokens at all: an empty line matches nothing.
+    MatchOutcome {
+        matched: false,
+        tokens_matched: 0,
+    }
+}
+
+/// The states one token matched.
+enum Step {
+    Dead,
+    One(CgmNodeId),
+    /// Two or more, in candidate order, left in the caller's buffer.
+    Many,
 }
 
 /// Algorithm 4: `match_next` — keyword candidates first; parameter
 /// candidates only when no keyword matched.
-fn match_next(token: &str, candis: &[CgmNodeId], graph: &CliGraph) -> Vec<CgmNodeId> {
-    let mut matched = Vec::new();
-    for &c in candis {
-        if let CgmNode::Keyword(k) = graph.node(c) {
-            if k == token {
-                matched.push(c);
-            }
-        }
+fn match_next(
+    token: &str,
+    candis: &[CgmNodeId],
+    graph: &CliGraph,
+    many: &mut Vec<CgmNodeId>,
+) -> Step {
+    let keywords = candis
+        .iter()
+        .copied()
+        .filter(|&c| matches!(graph.node(c), CgmNode::Keyword(k) if k == token));
+    match collect_step(keywords, many) {
+        Step::Dead => {}
+        step => return step,
     }
-    if !matched.is_empty() {
-        return matched;
-    }
-    for &c in candis {
-        if let CgmNode::Param { ty, .. } = graph.node(c) {
-            if ty.matches(token) {
-                matched.push(c);
-            }
-        }
-    }
-    matched
+    let params = candis
+        .iter()
+        .copied()
+        .filter(|&c| matches!(graph.node(c), CgmNode::Param { ty, .. } if ty.matches(token)));
+    collect_step(params, many)
+}
+
+fn collect_step(mut states: impl Iterator<Item = CgmNodeId>, many: &mut Vec<CgmNodeId>) -> Step {
+    let Some(first) = states.next() else {
+        return Step::Dead;
+    };
+    let Some(second) = states.next() else {
+        return Step::One(first);
+    };
+    many.clear();
+    many.extend([first, second]);
+    many.extend(states);
+    Step::Many
 }
 
 /// A complete matcher that returns `(param name, value)` bindings of one
@@ -135,7 +184,7 @@ pub fn match_with_bindings(cli: &str, graph: &CliGraph) -> Option<Vec<(String, S
         if dead[pos][state.0] {
             return false;
         }
-        for next in graph.valid_successors(state) {
+        for &next in graph.valid_successors(state) {
             let consumed = match graph.node(next) {
                 CgmNode::Keyword(k) => k == tokens[pos],
                 CgmNode::Param { ty, .. } => ty.matches(tokens[pos]),

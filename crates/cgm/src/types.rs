@@ -32,8 +32,21 @@ impl ParamType {
     /// Infer the type of a placeholder from its name, e.g.
     /// `ipv4-address` → [`ParamType::Ipv4`], `as-number` → [`ParamType::Int`].
     pub fn infer(token: &str) -> ParamType {
-        let t = token.to_ascii_lowercase();
-        let has = |needle: &str| t.contains(needle);
+        // Names are short and almost always lower case already: fold only
+        // when needed, and match needles by byte window, which for these
+        // lengths beats setting up a substring searcher per needle.
+        let folded;
+        let t = if token.bytes().any(|b| b.is_ascii_uppercase()) {
+            folded = token.to_ascii_lowercase();
+            folded.as_str()
+        } else {
+            token
+        };
+        let has = |needle: &str| {
+            t.as_bytes()
+                .windows(needle.len())
+                .any(|w| w == needle.as_bytes())
+        };
         if has("ipv6") {
             ParamType::Ipv6
         } else if has("prefix/length") || has("ipv4-prefix") || (has("prefix") && has("length")) {

@@ -3,14 +3,16 @@
 //! Invariants: every instance generated from a template's own CGM is
 //! accepted by that CGM (the §5.3 soundness contract); the frontier
 //! matcher and the complete matcher agree on generated instances;
-//! matching is total on arbitrary input.
+//! matching is total on arbitrary input; the precomputed valid-successor
+//! sets equal a per-call walk, in order; matching a pre-split token
+//! slice equals matching the line.
 // Property-test bodies and helpers sit outside #[test] fns; panics are the
 // assertion mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use nassim_cgm::generate::{enumerate_instances, sample_instance};
-use nassim_cgm::matching::{is_cli_match, match_frontier, match_with_bindings};
-use nassim_cgm::CliGraph;
+use nassim_cgm::matching::{is_cli_match, is_tokens_match, match_frontier, match_with_bindings};
+use nassim_cgm::{CgmNode, CgmNodeId, CliGraph};
 use nassim_syntax::parse_template;
 use nassim_syntax::template::{CliStruc, Ele};
 use proptest::prelude::*;
@@ -55,7 +57,78 @@ fn template() -> impl Strategy<Value = CliStruc> {
     prop::collection::vec(element(), 1..5).prop_map(|elements| CliStruc { elements })
 }
 
+/// Algorithm 4's `get_valid_succssors` as a per-call walk: depth-first
+/// from the node's successors, expanding marker nodes and recording
+/// valid ones, each node visited once. The graph's precomputed sets must
+/// equal it element for element.
+fn reference_valid_successors(graph: &CliGraph, id: CgmNodeId) -> Vec<CgmNodeId> {
+    let mut out = Vec::new();
+    let mut visited = vec![false; graph.len()];
+    let mut stack: Vec<CgmNodeId> = graph.successors(id).to_vec();
+    while let Some(n) = stack.pop() {
+        if visited[n.0] {
+            continue;
+        }
+        visited[n.0] = true;
+        if graph.node(n).is_valid() {
+            if !out.contains(&n) {
+                out.push(n);
+            }
+        } else {
+            stack.extend_from_slice(graph.successors(n));
+        }
+    }
+    out
+}
+
 proptest! {
+    /// The precomputed valid-successor set of the root and of every
+    /// keyword and parameter node equals the per-call walk, in order;
+    /// the graph's head keyword is the template's.
+    #[test]
+    fn valid_successors_equal_the_walk(struc in template()) {
+        let graph = CliGraph::build(&struc);
+        prop_assert_eq!(graph.head_keyword(), struc.head_keyword());
+        for id in (0..graph.len()).map(CgmNodeId) {
+            if matches!(graph.node(id), CgmNode::Root | CgmNode::Keyword(_) | CgmNode::Param { .. }) {
+                let walked = reference_valid_successors(&graph, id);
+                prop_assert_eq!(
+                    graph.valid_successors(id),
+                    walked.as_slice(),
+                    "node {} of `{}`", id.0, struc.render()
+                );
+            }
+        }
+    }
+
+    /// Matching a token slice equals matching the line, on generated and
+    /// sampled instances, their corruptions and arbitrary input; and it
+    /// agrees with the complete matcher as `matchers_agree` requires.
+    #[test]
+    fn token_slice_matching_equals_line_matching(
+        struc in template(),
+        seed in 0u64..1000,
+        junk in "[a-z0-9 .:/-]{0,30}",
+    ) {
+        let graph = CliGraph::build(&struc);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lines = enumerate_instances(&graph, 8, &mut rng);
+        let sampled = sample_instance(&graph, &mut rng);
+        lines.push(sampled.clone());
+        let mut truncated: Vec<&str> = sampled.split_whitespace().collect();
+        truncated.pop();
+        lines.push(truncated.join(" "));
+        lines.push(junk);
+        for line in &lines {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let by_tokens = is_tokens_match(&tokens, &graph);
+            prop_assert_eq!(by_tokens, is_cli_match(line, &graph), "`{}`", line);
+            if by_tokens {
+                prop_assert!(match_with_bindings(line, &graph).is_some(), "`{}`", line);
+            }
+        }
+    }
+
     /// Generated instances always match their own template.
     #[test]
     fn generated_instances_self_match(struc in template(), seed in 0u64..1000) {

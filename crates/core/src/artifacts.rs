@@ -88,11 +88,11 @@ use nassim_validator::hierarchy::Derivation;
 use nassim_validator::syntax_stage::{PageSyntax, SyntaxAudit};
 use nassim_validator::vdm_build::VdmBuild;
 use nassim_validator::{
-    audit_page, build_vdm, derive_hierarchy_cached, evidence_fields_key, fold_page_syntax,
+    audit_misses, build_vdm, derive_hierarchy_cached, evidence_fields_key, fold_page_syntax,
     graph_key, syntax_key, EvidenceCache, GraphCache,
 };
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -659,25 +659,50 @@ impl ArtifactStore {
     }
 
     /// §5.1 syntax stage against the store: per successfully parsed
-    /// page, keyed by URL + CLIs (memoized per page).
+    /// page, keyed by URL + CLIs (memoized per page). Misses are audited
+    /// in one chunked fan-out ([`audit_misses`]); a key repeated within
+    /// the run is one miss, then hits. A missed page whose CLI forms have
+    /// no compiled graphs yet gets them from the same parses, handed to
+    /// the next [`ArtifactStore::hierarchy_stage`] so it does not parse
+    /// the templates again.
     pub fn syntax_stage(&mut self, parse: &ParseRun) -> SyntaxAudit {
+        self.graphs.clear_fresh();
         let keys = self.keys.keys_for(&parse.pages);
-        let mut per_page: Vec<Arc<PageSyntax>> = Vec::with_capacity(parse.pages.len());
+        // Per page: a cached audit, or the index of its miss.
+        let mut slots: Vec<Result<Arc<PageSyntax>, usize>> = Vec::with_capacity(keys.len());
+        let mut misses: Vec<(&ParsedPage, bool)> = Vec::new();
+        let mut miss_keys: Vec<PageKeys> = Vec::new();
+        let mut first_miss: HashMap<u64, usize> = HashMap::new();
+        let mut compiling: HashSet<u64> = HashSet::new();
         for (page, k) in parse.pages.iter().zip(keys) {
-            match self.syntax.get(&k.syntax) {
-                Some(audit) => {
-                    self.stats.syntax_hits += 1;
-                    per_page.push(audit.clone());
-                }
-                None => {
-                    self.stats.syntax_misses += 1;
-                    let audit = Arc::new(audit_page(page));
-                    self.syntax.insert(k.syntax, audit.clone());
-                    per_page.push(audit);
-                }
+            if let Some(audit) = self.syntax.get(&k.syntax) {
+                self.stats.syntax_hits += 1;
+                slots.push(Ok(audit.clone()));
+            } else if let Some(&m) = first_miss.get(&k.syntax) {
+                self.stats.syntax_hits += 1;
+                slots.push(Err(m));
+            } else {
+                self.stats.syntax_misses += 1;
+                let compile = !self.graphs.contains(k.graph) && compiling.insert(k.graph);
+                first_miss.insert(k.syntax, misses.len());
+                slots.push(Err(misses.len()));
+                misses.push((page, compile));
+                miss_keys.push(*k);
             }
         }
-        fold_page_syntax(per_page.iter().map(|a| a.as_ref()))
+        let mut audited: Vec<Arc<PageSyntax>> = Vec::with_capacity(misses.len());
+        for ((audit, graphs), k) in audit_misses(&misses).into_iter().zip(&miss_keys) {
+            let audit = Arc::new(audit);
+            self.syntax.insert(k.syntax, audit.clone());
+            if let Some(graphs) = graphs {
+                self.graphs.put_fresh(k.graph, graphs);
+            }
+            audited.push(audit);
+        }
+        fold_page_syntax(slots.iter().map(|slot| match slot {
+            Ok(audit) => audit.as_ref(),
+            Err(m) => audited[*m].as_ref(),
+        }))
     }
 
     /// §5.2 hierarchy stage against the store: the same page count,
@@ -685,8 +710,10 @@ impl ArtifactStore {
     /// (`derivation_key`) → replay the cached derivation; otherwise
     /// derive through the per-page graph and evidence caches (clean
     /// pages reuse compiled CGM graphs and collected evidence, including
-    /// ones reloaded from disk). A replay reuses every page's graphs and
-    /// evidence, and counts one hit per page in each cache. `page_keys`
+    /// ones reloaded from disk). A graph-cache miss takes the graphs the
+    /// syntax stage compiled ahead, if any, and still counts as a miss.
+    /// A replay reuses every page's graphs and evidence, and counts one
+    /// hit per page in each cache. `page_keys`
     /// is unused, as in [`ArtifactStore::build_stage`]: a derivation does
     /// not depend on the HTML those keys hash.
     pub fn hierarchy_stage(&mut self, parse: &ParseRun, _page_keys: &[u64]) -> Derivation {
@@ -695,6 +722,7 @@ impl ArtifactStore {
         if let Some((k, derivation)) = &self.derived {
             if *k == dkey {
                 self.stats.derived_hits += 1;
+                self.graphs.clear_fresh();
                 self.graphs.hits += keys.len();
                 self.evidence.hits += keys.len();
                 return derivation.clone();

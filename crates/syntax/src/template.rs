@@ -184,10 +184,21 @@ fn option(s: &str, pos: usize) -> PRes<Ele> {
 
 fn element(s: &str, pos: usize) -> PRes<Ele> {
     let start = c::skip_ws(s, pos);
-    c::alt(c::alt(placeholder, select), c::alt(option, keyword))(s, pos).map_err(|e| {
+    // The first byte picks the production. `<`, `{` and `[` are not
+    // keyword characters, so at most one alternative can succeed and every
+    // other one fails at `start` without consuming: trying just that one
+    // yields the value and the farthest failure that trying all four in
+    // turn would, without building three throwaway errors per element.
+    let parsed = match s.as_bytes().get(start) {
+        Some(b'<') => placeholder(s, pos),
+        Some(b'{') => select(s, pos),
+        Some(b'[') => option(s, pos),
+        _ => keyword(s, pos),
+    };
+    parsed.map_err(|e| {
         // If no alternative consumed anything, the union "an element was
-        // expected here" is more useful than whichever branch's first-token
-        // failure the alt happened to keep.
+        // expected here" is more useful than the one branch's first-token
+        // failure.
         if e.pos <= start {
             PErr::new(start, "element")
         } else {

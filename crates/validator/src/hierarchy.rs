@@ -20,10 +20,11 @@
 //! `Enters:` tree sections) bypass derivation: their evidence enters as
 //! authoritative votes.
 
-use nassim_cgm::{matching::is_cli_match, CliGraph};
+use nassim_cgm::{is_tokens_match, CliGraph};
 use nassim_corpus::Fnv1a;
 use nassim_parser::ParsedPage;
 use nassim_syntax::parse_template;
+use nassim_syntax::template::CliStruc;
 use serde::{DeError, Value};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -150,9 +151,6 @@ pub struct PageGraphs {
     /// cli index → graph; `None` for templates that failed stage-1
     /// parsing (they can never match an instance).
     pub graphs: Vec<Option<CliGraph>>,
-    /// (cli index, head keyword) for each parseable template; `None`
-    /// head means headless (starts with a group).
-    buckets: Vec<(usize, Option<String>)>,
     /// The CLI forms this artifact was compiled from — its serialized
     /// representation and the preimage of [`graph_key`].
     clis: Vec<String>,
@@ -178,21 +176,23 @@ pub fn graph_key(page: &ParsedPage) -> u64 {
 /// Compile a CLI-form list into a [`PageGraphs`] artifact — the pure
 /// function behind both [`compile_page_graphs`] and store loads.
 pub fn compile_graphs(clis: &[String]) -> PageGraphs {
-    let mut graphs = Vec::new();
-    let mut buckets = Vec::new();
-    for (ci, cli) in clis.iter().enumerate() {
-        match parse_template(cli) {
-            Ok(struc) => {
-                buckets.push((ci, struc.head_keyword().map(str::to_string)));
-                graphs.push(Some(CliGraph::build(&struc)));
-            }
-            // `None` keeps (page, cli) indexing aligned.
-            Err(_) => graphs.push(None),
-        }
-    }
+    compile_parsed(clis, clis.iter().map(|cli| parse_template(cli).ok()))
+}
+
+/// [`compile_graphs`] from templates parsed elsewhere: `strucs` yields,
+/// in order, [`parse_template`] of each of `clis`, `None` where it
+/// fails. The store's syntax stage passes the structures its audit
+/// already built, so a template is parsed once per run.
+pub(crate) fn compile_parsed(
+    clis: &[String],
+    strucs: impl IntoIterator<Item = Option<CliStruc>>,
+) -> PageGraphs {
     PageGraphs {
-        graphs,
-        buckets,
+        // `None` keeps (page, cli) indexing aligned.
+        graphs: strucs
+            .into_iter()
+            .map(|s| s.map(CliGraph::from_struc))
+            .collect(),
         clis: clis.to_vec(),
     }
 }
@@ -208,6 +208,12 @@ pub fn compile_page_graphs(page: &ParsedPage) -> PageGraphs {
 #[derive(Clone, Default)]
 pub struct GraphCache {
     entries: HashMap<u64, Arc<PageGraphs>>,
+    /// Artifacts compiled ahead of the next [`CorpusGraphs::build_cached`]
+    /// (by the store's syntax stage, from the parses its audit made).
+    /// They are not entries yet: that build takes each one where it
+    /// would compile, counts it as a miss and inserts it, and the rest
+    /// are dropped. Never persisted.
+    fresh: HashMap<u64, Arc<PageGraphs>>,
     pub hits: usize,
     pub misses: usize,
 }
@@ -215,6 +221,22 @@ pub struct GraphCache {
 impl GraphCache {
     pub fn new() -> GraphCache {
         GraphCache::default()
+    }
+
+    /// Is an artifact for `key` held, as an entry or compiled ahead?
+    pub fn contains(&self, key: u64) -> bool {
+        self.entries.contains_key(&key) || self.fresh.contains_key(&key)
+    }
+
+    /// Hand the next build an artifact compiled ahead; `graphs` must be
+    /// [`compile_graphs`] of the CLI forms `key` hashes.
+    pub fn put_fresh(&mut self, key: u64, graphs: PageGraphs) {
+        self.fresh.insert(key, Arc::new(graphs));
+    }
+
+    /// Drop the artifacts compiled ahead that no build took.
+    pub fn clear_fresh(&mut self) {
+        self.fresh.clear();
     }
 
     /// Number of distinct artifacts held.
@@ -315,7 +337,7 @@ pub struct CorpusGraphs {
     /// page index → that page's compiled graphs.
     pub graphs: Vec<Arc<PageGraphs>>,
     /// head keyword → (page, cli) pairs whose template starts with it.
-    head_index: BTreeMap<String, Vec<(usize, usize)>>,
+    head_index: HashMap<String, Vec<(usize, usize)>>,
     /// Templates with no leading keyword (start with a group) — always
     /// candidates.
     headless: Vec<(usize, usize)>,
@@ -347,7 +369,8 @@ impl CorpusGraphs {
 
     /// [`CorpusGraphs::build`] reusing cached per-page artifacts: pages
     /// whose CLI set is already in `cache` skip compilation entirely;
-    /// misses compile in one fan-out and are inserted for next time.
+    /// misses take the artifact compiled ahead ([`GraphCache::put_fresh`])
+    /// or compile in one fan-out, and are inserted for next time.
     /// The assembled index is identical to an uncached build. `keys[i]`
     /// must be [`graph_key`] of `pages[i]`.
     pub fn build_cached<P: Borrow<ParsedPage> + Sync>(
@@ -366,13 +389,26 @@ impl CorpusGraphs {
             .collect();
         cache.hits += pages.len() - missing.len();
         cache.misses += missing.len();
+        // A miss compiled ahead is taken as it is; the rest compile here.
+        let fresh = std::mem::take(&mut cache.fresh);
+        let mut to_compile = Vec::new();
+        for &i in &missing {
+            match fresh.get(&keys[i]) {
+                Some(artifact) => per_page[i] = Some(artifact.clone()),
+                None => to_compile.push(i),
+            }
+        }
         let compiled: Vec<Arc<PageGraphs>> =
-            nassim_exec::par_map_chunked(&missing, CGM_MIN_CHUNK, |&i| {
+            nassim_exec::par_map_chunked(&to_compile, CGM_MIN_CHUNK, |&i| {
                 Arc::new(compile_page_graphs(pages[i].borrow()))
             });
-        for (&i, artifact) in missing.iter().zip(compiled) {
-            cache.entries.insert(keys[i], artifact.clone());
+        for (&i, artifact) in to_compile.iter().zip(compiled) {
             per_page[i] = Some(artifact);
+        }
+        for &i in &missing {
+            if let Some(artifact) = &per_page[i] {
+                cache.entries.insert(keys[i], artifact.clone());
+            }
         }
         let per_page = per_page
             .into_iter()
@@ -385,13 +421,21 @@ impl CorpusGraphs {
     /// Fold per-page artifacts (in page order) into the bucketed index;
     /// the layout matches a serial build exactly.
     fn assemble(per_page: Vec<Arc<PageGraphs>>) -> CorpusGraphs {
-        let mut head_index: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut head_index: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
         let mut headless = Vec::new();
         for (pi, page) in per_page.iter().enumerate() {
-            for (ci, head) in &page.buckets {
-                match head {
-                    Some(head) => head_index.entry(head.clone()).or_default().push((pi, *ci)),
-                    None => headless.push((pi, *ci)),
+            for (ci, graph) in page.graphs.iter().enumerate() {
+                let Some(graph) = graph else { continue };
+                let Some(head) = graph.head_keyword() else {
+                    headless.push((pi, ci));
+                    continue;
+                };
+                // One key allocation per distinct head, not per template.
+                match head_index.get_mut(head) {
+                    Some(bucket) => bucket.push((pi, ci)),
+                    None => {
+                        head_index.insert(head.to_string(), vec![(pi, ci)]);
+                    }
                 }
             }
         }
@@ -402,29 +446,32 @@ impl CorpusGraphs {
         }
     }
 
-    /// Pages whose templates could match `instance` (bucketed by its
-    /// first token, plus all headless templates).
-    pub fn candidates(&self, instance: &str) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        if let Some(first) = instance.split_whitespace().next() {
-            if let Some(bucket) = self.head_index.get(first) {
-                out.extend_from_slice(bucket);
-            }
-        }
-        out.extend_from_slice(&self.headless);
-        out
+    /// The (page, cli) templates that could match an instance whose
+    /// first token is `head`: its head-keyword bucket, then every
+    /// headless template.
+    fn candidates<'c>(&'c self, head: Option<&str>) -> impl Iterator<Item = (usize, usize)> + 'c {
+        head.and_then(|h| self.head_index.get(h))
+            .into_iter()
+            .flatten()
+            .chain(&self.headless)
+            .copied()
     }
 
-    /// All pages whose template matches `instance` exactly.
+    /// Does template `(pi, ci)` match the instance split into `tokens`?
+    fn template_matches(&self, (pi, ci): (usize, usize), tokens: &[&str]) -> bool {
+        self.graphs[pi].graphs[ci]
+            .as_ref()
+            .is_some_and(|g| is_tokens_match(tokens, g))
+    }
+
+    /// All pages whose template matches `instance` exactly. The instance
+    /// is split once and that token slice is matched against every
+    /// candidate.
     pub fn matching_pages(&self, instance: &str) -> Vec<usize> {
+        let tokens: Vec<&str> = instance.split_whitespace().collect();
         let mut out: Vec<usize> = self
-            .candidates(instance)
-            .into_iter()
-            .filter(|&(pi, ci)| {
-                self.graphs[pi].graphs[ci]
-                    .as_ref()
-                    .is_some_and(|g| is_cli_match(instance, g))
-            })
+            .candidates(tokens.first().copied())
+            .filter(|&t| self.template_matches(t, &tokens))
             .map(|(pi, _)| pi)
             .collect();
         out.sort_unstable();
@@ -811,12 +858,10 @@ fn collect_page_evidence(pi: usize, page: &ParsedPage, corpus: &CorpusGraphs) ->
         let child_indent = indent_of(last);
         let child_instance = last.trim_start();
         // Step 1: the innermost line must instantiate this page's CLI.
-        let self_matches = corpus.candidates(child_instance).into_iter().any(|(p, c)| {
-            p == pi
-                && corpus.graphs[p].graphs[c]
-                    .as_ref()
-                    .is_some_and(|g| is_cli_match(child_instance, g))
-        });
+        let tokens: Vec<&str> = child_instance.split_whitespace().collect();
+        let self_matches = corpus
+            .candidates(tokens.first().copied())
+            .any(|t| t.0 == pi && corpus.template_matches(t, &tokens));
         if !self_matches {
             ev.self_match_failures += 1;
             continue;

@@ -39,6 +39,7 @@ pub use hierarchy::{
 };
 pub use report::VdmConstructionReport;
 pub use syntax_stage::{
-    audit_corpus, audit_page, fold_page_syntax, syntax_key, PageSyntax, SyntaxAudit, SyntaxFailure,
+    audit_corpus, audit_misses, audit_page, fold_page_syntax, syntax_key, PageSyntax, SyntaxAudit,
+    SyntaxFailure,
 };
 pub use vdm_build::build_vdm;

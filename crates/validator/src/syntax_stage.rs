@@ -6,9 +6,11 @@
 //! index), so "the experts can intervene in a more targeted and efficient
 //! way".
 
+use crate::hierarchy::{compile_parsed, PageGraphs};
 use nassim_corpus::Fnv1a;
 use nassim_parser::ParsedPage;
-use nassim_syntax::{validate_template, SyntaxDiagnosis};
+use nassim_syntax::template::CliStruc;
+use nassim_syntax::{parse_template, validate_template, SyntaxDiagnosis};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
@@ -115,17 +117,46 @@ pub fn syntax_key(page: &ParsedPage) -> u64 {
     h.finish()
 }
 
+/// Audit the pages a store's syntax cache missed in one chunked
+/// fan-out, as [`audit_corpus`] does; one result per page, in input
+/// order. Where a page's flag is set, its template graphs are compiled
+/// from the structures the audit built. Only a
+/// template the audit rejects is parsed again, so which templates get a
+/// graph is exactly what [`crate::compile_graphs`] decides.
+pub fn audit_misses(misses: &[(&ParsedPage, bool)]) -> Vec<(PageSyntax, Option<PageGraphs>)> {
+    nassim_exec::par_map_chunked(misses, AUDIT_MIN_CHUNK, |&(page, compile)| {
+        if !compile {
+            return (audit_page(page), None);
+        }
+        let mut strucs = Vec::with_capacity(page.entry.clis.len());
+        let audit = audit_clis(page, |cli, struc| {
+            strucs.push(struc.or_else(|| parse_template(cli).ok()));
+        });
+        (audit, Some(compile_parsed(&page.entry.clis, strucs)))
+    })
+}
+
 /// Audit one page's CLI forms.
 pub fn audit_page(page: &ParsedPage) -> PageSyntax {
+    audit_clis(page, |_, _| {})
+}
+
+/// Audit one page's CLI forms, handing each form and the structure its
+/// validation built (`None` when rejected) to `parsed`, in order.
+fn audit_clis(page: &ParsedPage, mut parsed: impl FnMut(&str, Option<CliStruc>)) -> PageSyntax {
     let mut failures = Vec::new();
     for (i, cli) in page.entry.clis.iter().enumerate() {
-        if let Err(diagnosis) = validate_template(cli) {
-            failures.push(SyntaxFailure {
-                url: page.url.clone(),
-                cli_index: i,
-                cli: cli.clone(),
-                diagnosis,
-            });
+        match validate_template(cli) {
+            Ok(struc) => parsed(cli, Some(struc)),
+            Err(diagnosis) => {
+                failures.push(SyntaxFailure {
+                    url: page.url.clone(),
+                    cli_index: i,
+                    cli: cli.clone(),
+                    diagnosis,
+                });
+                parsed(cli, None);
+            }
         }
     }
     PageSyntax {
