@@ -14,7 +14,7 @@
 //!   and read back `display current-configuration` to confirm the line
 //!   took effect.
 
-use nassim_cgm::{generate, matching::is_cli_match, CliGraph};
+use nassim_cgm::{generate, is_tokens_match, CliGraph};
 use nassim_corpus::{Vdm, VdmNodeId};
 use nassim_device::resilient::{
     Clock, Navigated, ResilienceError, ResiliencePolicy, ResilientClient, RetryEvent, WallClock,
@@ -110,7 +110,7 @@ impl<'v> VdmMatcher<'v> {
         let mut by_view: BTreeMap<&str, Vec<VdmNodeId>> = BTreeMap::new();
         for (id, node) in vdm.iter() {
             if let Ok(struc) = parse_template(&node.template) {
-                graphs.insert(id, CliGraph::build(&struc));
+                graphs.insert(id, CliGraph::from_struc(struc));
                 by_view.entry(node.view.as_str()).or_default().push(id);
             }
         }
@@ -118,25 +118,27 @@ impl<'v> VdmMatcher<'v> {
         VdmMatcher { graphs, by_view }
     }
 
-    /// Nodes in `view` matching `instance`.
+    /// Nodes in `view` matching `instance` (split once for all of them).
     pub fn match_in_view(&self, view: &str, instance: &str) -> Vec<VdmNodeId> {
+        let tokens: Vec<&str> = instance.split_whitespace().collect();
         self.by_view
             .get(view)
             .map(|nodes| {
                 nodes
                     .iter()
                     .copied()
-                    .filter(|id| is_cli_match(instance, &self.graphs[id]))
+                    .filter(|id| is_tokens_match(&tokens, &self.graphs[id]))
                     .collect()
             })
             .unwrap_or_default()
     }
 
-    /// All nodes matching `instance`, anywhere.
+    /// All nodes matching `instance`, anywhere (split once for all).
     pub fn match_anywhere(&self, instance: &str) -> Vec<VdmNodeId> {
+        let tokens: Vec<&str> = instance.split_whitespace().collect();
         self.graphs
             .iter()
-            .filter(|(_, g)| is_cli_match(instance, g))
+            .filter(|(_, g)| is_tokens_match(&tokens, g))
             .map(|(&id, _)| id)
             .collect()
     }
