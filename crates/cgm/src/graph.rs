@@ -188,8 +188,7 @@ impl CliGraph {
                 if self.nodes[next.0].is_valid() {
                     self.valid.push(next);
                 } else {
-                    let (lo, hi) = (self.succ_start[next.0], self.succ_start[next.0 + 1]);
-                    stack.extend_from_slice(&self.succ[lo..hi]);
+                    stack.extend_from_slice(self.successors(next));
                 }
             }
             self.valid_start.push(self.valid.len());
