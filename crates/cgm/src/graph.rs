@@ -99,7 +99,7 @@ impl CliGraph {
     /// [`CliGraph::build`] consuming the template structure, so keyword
     /// and parameter names move into the graph instead of being copied.
     pub fn from_struc(struc: CliStruc) -> CliGraph {
-        let mut b = Builder {
+        let mut b = Draft {
             nodes: vec![CgmNode::Root, CgmNode::Sink],
             edges: Vec::new(),
         };
@@ -230,12 +230,12 @@ impl CliGraph {
 /// Every element has exactly one exit node — a keyword or parameter
 /// node, or the closing marker of a group — so construction threads a
 /// single predecessor through each sequence.
-struct Builder {
+struct Draft {
     nodes: Vec<CgmNode>,
     edges: Vec<(CgmNodeId, CgmNodeId)>,
 }
 
-impl Builder {
+impl Draft {
     fn push(&mut self, node: CgmNode) -> CgmNodeId {
         self.nodes.push(node);
         CgmNodeId(self.nodes.len() - 1)
