@@ -1,17 +1,32 @@
 //! Frozen JSON shapes of what the store persists and the daemon serves:
-//! one parsed page, one small VDM, and the `pages` section of a one-page
-//! artifact store. Corpus entries are `Arc`-shared in memory, and serde
+//! one parsed page, one small VDM, the `pages` section of a one-page
+//! artifact store, and the whole file of a one-page store (header, every
+//! section and the `checksums` footer). Corpus entries are `Arc`-shared in memory, and serde
 //! serializes an `Arc` as its value, so the bytes must not depend on how
-//! entries are held. The literals were captured before entries were
-//! shared; a change to any of them is a persisted-layout change and
-//! needs a schema bump.
+//! entries are held. The first three literals were captured before
+//! entries were shared, the whole-store one before the JSON codec moved
+//! from chars to bytes; a change to any of them is a persisted-layout
+//! change and needs a schema bump.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use nassim::corpus::{CorpusEntry, ParaDef, Vdm};
 use nassim::html::IngestBudget;
+use nassim::mapper::{Embedder, RetrievalMode};
 use nassim::parser::{parser_for, ParsedPage};
 use nassim::ArtifactStore;
 use serde::Value;
+use std::sync::Arc;
+
+/// A deterministic 4-dimensional embedder whose vectors need the float
+/// writer's shortest round-trip form (`0.1f32` widens to
+/// `0.10000000149011612`).
+struct FixedEmbedder;
+
+impl Embedder for FixedEmbedder {
+    fn embed(&self, text: &str) -> Vec<f32> {
+        vec![text.len() as f32 * 0.1, -0.5, 1.0 / 3.0, 2.0]
+    }
+}
 
 const PAGE_URL: &str = "manual://helix/system/system.sysname";
 const PAGE_HTML: &str = "<html><body>\n\
@@ -33,6 +48,8 @@ const PARSED_PAGE_JSON: &str = r#"{"url":"manual://norsk/bgp/peer","entry":{"CLI
 const VDM_JSON: &str = r#"{"vendor":"norsk","corpus":[{"CLIs":["peer <ipv4-address> group <group-name>"],"FuncDef":"Adds a peer to a peer group.","ParentViews":["BGP view"],"ParaDef":[{"Paras":"ipv4-address","Info":"Peer address."}],"Examples":[["bgp 100"," peer 10.1.1.1 group test"]],"Source":"manual://norsk/bgp/peer"}],"nodes":[{"template":"","view":"","corpus_idx":null,"enters_view":"system view","parent":null,"children":[1]},{"template":"peer <ipv4-address> group <group-name>","view":"BGP view","corpus_idx":0,"enters_view":null,"parent":0,"children":[]}],"root_view":"system view"}"#;
 
 const PAGES_SECTION_JSON: &str = r#"{"5de7646cbffc7c1e":{"url":"manual://helix/system/system.sysname","disposition":{"Parsed":{"page":{"url":"manual://helix/system/system.sysname","entry":{"CLIs":["sysname <host-name>"],"FuncDef":" Sets the host name of the device. ","ParentViews":["system view"],"ParaDef":[{"Paras":"host-name","Info":"Specifies the host name."}],"Examples":[["sysname test3"]],"Source":"manual://helix/system/system.sysname"},"context_path":null,"enters_view":null}}},"defects":[],"key_attr":null,"status":null}}"#;
+
+const WHOLE_STORE_JSON: &str = r#"{"magic":"NASSIM-ARTIFACTS","schema_version":4,"pages":{"5de7646cbffc7c1e":{"url":"manual://helix/system/system.sysname","disposition":{"Parsed":{"page":{"url":"manual://helix/system/system.sysname","entry":{"CLIs":["sysname <host-name>"],"FuncDef":" Sets the host name of the device. ","ParentViews":["system view"],"ParaDef":[{"Paras":"host-name","Info":"Specifies the host name."}],"Examples":[["sysname test3"]],"Source":"manual://helix/system/system.sysname"},"context_path":null,"enters_view":null}}},"defects":[],"key_attr":null,"status":null}},"syntax":{"dbf06ae53bdb1ec2":{"cli_count":1,"failures":[]}},"graphs":{"entries":{"945ee632e4644924":["sysname <host-name>"]}},"evidence":{"entries":{"a02a62e797c35c8b":{"ex":1,"fail":0,"votes":[],"roots":["system view"]}}},"embeddings":{"entries":{"25d2a6b6cd0de1d3":[[1063675495,3204448256,1051372203,1073741824],[1075838976,3204448256,1051372203,1073741824],[1067869799,3204448256,1051372203,1073741824],[1067030938,3204448256,1051372203,1073741824]],"760269e7f46b69e6":[[1060320051,3204448256,1051372203,1073741824],[1075000115,3204448256,1051372203,1073741824],[1066192077,3204448256,1051372203,1073741824],[1058642330,3204448256,1051372203,1073741824]]}},"ann":{"entries":{"389ca63dbc6fb5c3":{"n":2,"dim":4,"ku":4,"hash":"389ca63dbc6fb5c3","scales":[1015890583,1003888975,999211232,1020666191],"codes":[104,-127,127,127,127,-120,120,120]}}},"checksums":{"pages":"91447508b56633b9","syntax":"52e1a7f8561eaa58","graphs":"c997d65cd908c304","evidence":"e25f55e2c53c2541","embeddings":"776be36154736c95","ann":"19dc28b595595a9d"}}"#;
 
 fn entry() -> CorpusEntry {
     CorpusEntry {
@@ -101,4 +118,54 @@ fn store_pages_section_and_schema_are_frozen() {
     );
     let pages = serde_json::to_string(value.get("pages").unwrap()).unwrap();
     assert_eq!(pages, PAGES_SECTION_JSON);
+}
+
+/// A one-page store after every stage plus a quantized mapper build,
+/// so every section holds at least one entry.
+fn whole_store() -> ArtifactStore {
+    let parser = parser_for("helix").unwrap();
+    let mut store = ArtifactStore::new();
+    nassim::assimilate_incremental(
+        parser.as_ref(),
+        [(PAGE_URL, PAGE_HTML)],
+        &IngestBudget::default(),
+        &mut store,
+    )
+    .unwrap();
+    let mut udm = nassim::corpus::Udm::new("frozen-udm");
+    let root = udm.root();
+    let bgp = udm.add(root, "bgp", "", "");
+    udm.add(bgp, "peer-as", "The peer's \"AS\" number.", "uint32");
+    udm.add(
+        bgp,
+        "router-id",
+        "Router ID, e.g. 10.0.0.1.",
+        "ipv4-address",
+    );
+    store.mapper_dl_sublinear(
+        &udm,
+        Arc::new(FixedEmbedder),
+        "fixed-4",
+        RetrievalMode::Quantized,
+    );
+    store
+}
+
+#[test]
+fn whole_store_file_is_frozen() {
+    let dir = std::env::temp_dir().join(format!("nassim-frozen-whole-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.json");
+    whole_store().save(&path).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(saved, WHOLE_STORE_JSON);
+
+    // The frozen bytes load strictly and re-save to themselves.
+    std::fs::write(&path, WHOLE_STORE_JSON).unwrap();
+    let loaded = ArtifactStore::load(&path).unwrap();
+    let resaved = dir.join("resaved.json");
+    loaded.save(&resaved).unwrap();
+    let again = std::fs::read_to_string(&resaved).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(again, WHOLE_STORE_JSON);
 }
