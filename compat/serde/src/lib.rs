@@ -234,7 +234,11 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
-        Value::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+        Value::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
     }
 }
 
@@ -254,8 +258,10 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
     fn to_value(&self) -> Value {
         // Sort for output stability — serde users here never rely on
         // hash order anyway.
-        let mut entries: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect();
+        let mut entries: Vec<(String, Value)> = self
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_value()))
+            .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Obj(entries)
     }
@@ -312,7 +318,10 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         assert_eq!(usize::from_value(&42usize.to_value()).unwrap(), 42);
-        assert_eq!(String::from_value(&"hi".to_string().to_value()).unwrap(), "hi");
+        assert_eq!(
+            String::from_value(&"hi".to_string().to_value()).unwrap(),
+            "hi"
+        );
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(
             Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()).unwrap(),
