@@ -10,6 +10,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -36,6 +37,19 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Mutable object field lookup (first match).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Obj(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Move the value out, leaving `Null` in its place.
+    pub fn take(&mut self) -> Value {
+        std::mem::replace(self, Value::Null)
+    }
 }
 
 /// Deserialization error: a human-readable path + expectation.
@@ -59,11 +73,25 @@ impl std::error::Error for DeError {}
 /// Convert a value into the [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// The [`Value`] tree to write, borrowed where the value already is
+    /// one. Serializers go through this, so writing an existing tree
+    /// never copies it; the default builds a fresh tree.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Rebuild a value from a [`Value`] tree.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Rebuild from a tree the caller no longer needs. Deserializers go
+    /// through this; the default borrows, and [`Value`] overrides it to
+    /// move the tree instead of copying it.
+    fn from_value_owned(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 
     /// What to produce when a struct field is absent from the input
     /// object. `None` means "absence is an error" (serde's default);
@@ -124,11 +152,19 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_value_owned(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }
 
@@ -172,6 +208,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 // `Arc` is transparent, as in upstream serde's `rc` feature: a shared
@@ -180,6 +220,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -341,6 +385,34 @@ mod tests {
         assert_eq!(shared.to_value(), vec![1u32, 2].to_value());
         let back = Arc::<Vec<u32>>::from_value(&shared.to_value()).unwrap();
         assert_eq!(back, shared);
+    }
+
+    #[test]
+    fn take_moves_a_field_out() {
+        let mut obj = Value::Obj(vec![
+            ("a".into(), Value::Bool(true)),
+            ("a".into(), Value::Null),
+        ]);
+        assert_eq!(obj.get_mut("a").map(Value::take), Some(Value::Bool(true)));
+        assert_eq!(obj.get("a"), Some(&Value::Null));
+        assert!(Value::Null.get_mut("a").is_none());
+    }
+
+    #[test]
+    fn values_serialize_borrowed_and_deserialize_moved() {
+        let tree = Value::Arr(vec![Value::Str("x".into()), Value::Null]);
+        assert!(matches!(tree.as_value(), Cow::Borrowed(v) if std::ptr::eq(v, &tree)));
+        assert!(matches!(
+            <&Value as Serialize>::as_value(&&tree),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(
+            Arc::new(tree.clone()).as_value(),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(7u32.as_value(), Cow::Owned(Value::Num(n)) if n == 7.0));
+        assert_eq!(Value::from_value_owned(tree.clone()).unwrap(), tree);
+        assert_eq!(u32::from_value_owned(Value::Num(3.0)).unwrap(), 3);
     }
 
     #[test]

@@ -76,7 +76,7 @@
 
 use crate::crash::{atomic_write, global_crash_plan, CrashPlan};
 use crate::pipeline::{finish_assimilation, keyed_pages, Assimilation};
-use nassim_corpus::{fnv1a_str, Fnv1a};
+use nassim_corpus::{fnv1a_bytes, Fnv1a};
 use nassim_diag::NassimError;
 use nassim_diag::{Diagnostic, Stage};
 use nassim_html::IngestBudget;
@@ -93,6 +93,7 @@ use nassim_validator::{
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -121,7 +122,7 @@ const SCHEMA_VERSION: i64 = 4;
 pub const MAX_STORE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// The persisted sections, in on-disk order. Every section carries an
-/// FNV-1a checksum of its serialized bytes in the `checksums` footer.
+/// FNV-1a checksum of its bytes as stored in the `checksums` footer.
 const SECTIONS: [&str; 6] = ["pages", "syntax", "graphs", "evidence", "embeddings", "ann"];
 
 /// Cache traffic counters for the store-level artifact maps. The graph
@@ -276,32 +277,32 @@ impl ArtifactStore {
 
     /// [`ArtifactStore::save`] under an explicit [`CrashPlan`] (or none).
     pub fn save_with(&self, path: &Path, plan: Option<&CrashPlan>) -> Result<(), NassimError> {
-        let sections: Vec<(String, Value)> = vec![
-            ("pages".to_string(), keyed_map_to_value(&self.pages)),
-            ("syntax".to_string(), keyed_map_to_value(&self.syntax)),
-            ("graphs".to_string(), self.graphs.to_value()),
-            ("evidence".to_string(), self.evidence.to_value()),
-            ("embeddings".to_string(), self.embeddings.to_value()),
-            ("ann".to_string(), self.ann.to_value()),
+        // In `SECTIONS` order. Each section's tree is built, written and
+        // dropped in turn, and its checksum is taken over the bytes just
+        // written, so every byte is serialized once.
+        let sections: [&dyn Fn() -> Value; 6] = [
+            &|| keyed_map_to_value(&self.pages),
+            &|| keyed_map_to_value(&self.syntax),
+            &|| self.graphs.to_value(),
+            &|| self.evidence.to_value(),
+            &|| self.embeddings.to_value(),
+            &|| self.ann.to_value(),
         ];
-        let mut checksums: Vec<(String, Value)> = Vec::with_capacity(sections.len());
-        for (name, section) in &sections {
-            checksums.push((name.clone(), Value::Str(section_checksum(section)?)));
+        let mut buf = b"{".to_vec();
+        write_member(&mut buf, "magic", &Value::Str(MAGIC.to_string()))?;
+        buf.push(b',');
+        let version = Value::Num(SCHEMA_VERSION as f64);
+        write_member(&mut buf, "schema_version", &version)?;
+        let mut checksums: Vec<(String, Value)> = Vec::with_capacity(SECTIONS.len());
+        for (name, section) in SECTIONS.into_iter().zip(sections) {
+            buf.push(b',');
+            let span = write_member(&mut buf, name, &section())?;
+            checksums.push((name.to_string(), Value::Str(section_checksum(&buf[span]))));
         }
-        let mut fields: Vec<(String, Value)> = vec![
-            ("magic".to_string(), Value::Str(MAGIC.to_string())),
-            (
-                "schema_version".to_string(),
-                Value::Num(SCHEMA_VERSION as f64),
-            ),
-        ];
-        fields.extend(sections);
-        fields.push(("checksums".to_string(), Value::Obj(checksums)));
-        let text =
-            serde_json::to_string(&Value::Obj(fields)).map_err(|e| NassimError::Internal {
-                context: format!("serializing artifact store: {e:?}"),
-            })?;
-        atomic_write(path, text.as_bytes(), plan)
+        buf.push(b',');
+        write_member(&mut buf, "checksums", &Value::Obj(checksums))?;
+        buf.push(b'}');
+        atomic_write(path, &buf, plan)
     }
 
     /// Load a store saved by [`ArtifactStore::save`]. I/O failures are
@@ -316,21 +317,21 @@ impl ArtifactStore {
             path: path.display().to_string(),
             reason,
         };
-        let value: Value =
-            serde_json::from_str(&text).map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
+        let (value, spans) = serde_json::from_str_with_spans(&text)
+            .map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
         check_header(path, &value)?;
         let Some(Value::Obj(sums)) = value.get("checksums") else {
             return Err(corrupt("missing `checksums` footer".to_string()));
         };
         for name in SECTIONS {
-            let Some(section) = value.get(name) else {
+            let Some(section) = member_bytes(&text, &value, &spans, name) else {
                 return Err(corrupt(format!("missing `{name}` section")));
             };
             let Some(Value::Str(stored)) = sums.iter().find(|(k, _)| k == name).map(|(_, v)| v)
             else {
                 return Err(corrupt(format!("missing checksum for section `{name}`")));
             };
-            let actual = section_checksum(section)?;
+            let actual = section_checksum(section);
             if *stored != actual {
                 return Err(corrupt(format!(
                     "section `{name}` checksum mismatch (stored {stored}, actual {actual}): \
@@ -397,8 +398,8 @@ impl ArtifactStore {
             path: path.display().to_string(),
             reason,
         };
-        let value: Value =
-            serde_json::from_str(&text).map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
+        let (value, spans) = serde_json::from_str_with_spans(&text)
+            .map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
         check_header(path, &value)?;
 
         let mut diagnostics = Vec::new();
@@ -426,7 +427,7 @@ impl ArtifactStore {
         // per-entry salvage is the best remaining option.
         let mut verified = |name: &str| -> Option<bool> {
             let sums = sums?;
-            let section = value.get(name)?;
+            let section = member_bytes(&text, &value, &spans, name)?;
             let stored = match sums.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
                 Some(Value::Str(s)) => s.clone(),
                 _ => {
@@ -434,23 +435,16 @@ impl ArtifactStore {
                     return Some(false);
                 }
             };
-            match section_checksum(section) {
-                Ok(actual) if actual == stored => Some(true),
-                Ok(actual) => {
-                    warn(format!(
-                        "section `{name}` failed its integrity checksum \
-                         (stored {stored}, actual {actual}): torn or tampered write; \
-                         dropping the section"
-                    ));
-                    Some(false)
-                }
-                Err(_) => {
-                    warn(format!(
-                        "section `{name}` cannot be re-serialized for verification; dropping it"
-                    ));
-                    Some(false)
-                }
+            let actual = section_checksum(section);
+            if actual == stored {
+                return Some(true);
             }
+            warn(format!(
+                "section `{name}` failed its integrity checksum \
+                 (stored {stored}, actual {actual}): torn or tampered write; \
+                 dropping the section"
+            ));
+            Some(false)
         };
         // None ⇒ unverifiable (no footer / section missing): salvage
         // entry-wise. Some(false) ⇒ verified torn: drop whole.
@@ -754,15 +748,42 @@ impl ArtifactStore {
     }
 }
 
-/// FNV-1a over a section's serialized bytes, fixed-width hex — the
-/// per-section integrity mark in the `checksums` footer. Deterministic
-/// because the vendored serializer is order-preserving and every
-/// section is emitted with sorted keys.
-fn section_checksum(section: &Value) -> Result<String, NassimError> {
-    let text = serde_json::to_string(section).map_err(|e| NassimError::Internal {
-        context: format!("serializing store section for checksum: {e:?}"),
-    })?;
-    Ok(format!("{:016x}", fnv1a_str(&text)))
+/// FNV-1a over a section's bytes as stored, fixed-width hex — the
+/// per-section integrity mark in the `checksums` footer. `save` hashes
+/// the bytes it just wrote and the loads hash the bytes the parser
+/// consumed, so the mark never depends on re-serializing: a section
+/// that parses to the same value from other bytes (an escape in place
+/// of a plain character, added whitespace) fails it.
+fn section_checksum(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a_bytes(bytes))
+}
+
+/// Append `"name":value` to `buf`; returns the byte range of the value.
+fn write_member(buf: &mut Vec<u8>, name: &str, value: &Value) -> Result<Range<usize>, NassimError> {
+    let internal = |e: serde_json::Error| NassimError::Internal {
+        context: format!("serializing artifact store: {e:?}"),
+    };
+    serde_json::to_writer(&mut *buf, name).map_err(internal)?;
+    buf.push(b':');
+    let start = buf.len();
+    serde_json::to_writer(&mut *buf, value).map_err(internal)?;
+    Ok(start..buf.len())
+}
+
+/// The bytes of top-level member `name` as the parser consumed them
+/// (the first such member, as [`Value::get`] finds it); `spans` is what
+/// [`serde_json::from_str_with_spans`] returned with `value`.
+fn member_bytes<'t>(
+    text: &'t str,
+    value: &Value,
+    spans: &[Range<usize>],
+    name: &str,
+) -> Option<&'t [u8]> {
+    let Value::Obj(entries) = value else {
+        return None;
+    };
+    let i = entries.iter().position(|(k, _)| k == name)?;
+    text.as_bytes().get(spans.get(i)?.clone())
 }
 
 /// Size-capped read of a store file: the metadata is consulted before

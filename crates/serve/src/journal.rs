@@ -10,7 +10,11 @@
 //! itself. Each record is one JSON line framed as
 //! `{"sum":"<fnv1a hex>","rec":{…}}` and fsynced through
 //! [`nassim::append_record`], so the log on disk is always a valid
-//! prefix plus at most one torn tail.
+//! prefix plus at most one torn tail. The checksum covers the `rec`
+//! bytes as they stand in the line, never a re-serialization: a record
+//! that is equivalent JSON in other bytes (an escape such as `\u0041`
+//! in place of `A`, added whitespace) fails it, and the writer never
+//! produces such bytes.
 //!
 //! Recovery invariants (what a restarted daemon can rely on):
 //!
@@ -37,7 +41,7 @@
 //! typed) — the simulated kill, observable end to end by restarting.
 
 use crate::protocol::valid_job_id;
-use nassim::corpus::fnv1a_str;
+use nassim::corpus::{fnv1a_bytes, fnv1a_str};
 use nassim::{append_record, global_crash_plan, CrashPlan, MAX_STORE_BYTES};
 use nassim_diag::{Diagnostic, NassimError, Stage};
 use parking_lot::Mutex;
@@ -132,56 +136,48 @@ impl JournalRecord {
         Value::Obj(fields)
     }
 
-    fn from_value(value: &Value) -> Result<JournalRecord, String> {
-        let str_field = |name: &str| -> Result<String, String> {
-            match value.get(name) {
-                Some(Value::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing string `{name}` field")),
-            }
-        };
-        let job = str_field("job")?;
+    /// Decode a verified `rec` object, moving its strings out.
+    fn from_value(mut value: Value) -> Result<JournalRecord, String> {
+        let mut take = |name: &str| value.get_mut(name).map(Value::take);
+        let job = str_field(take("job"), "job")?;
         if !valid_job_id(&job) {
             return Err(format!("invalid job id `{job}`"));
         }
-        match str_field("type")?.as_str() {
+        match str_field(take("type"), "type")?.as_str() {
             "submitted" => {
-                let deadline_ms = match value.get("deadline_ms") {
+                let deadline_ms = match take("deadline_ms") {
                     None => None,
-                    Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+                    Some(Value::Num(n)) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
                     Some(_) => return Err("`deadline_ms` must be a non-negative integer".into()),
                 };
-                let Some(Value::Arr(raw)) = value.get("pages") else {
+                let Some(Value::Arr(raw)) = take("pages") else {
                     return Err("missing `pages` array".to_string());
                 };
                 let mut pages = Vec::with_capacity(raw.len());
                 for p in raw {
-                    match p {
-                        Value::Arr(pair) => match pair.as_slice() {
-                            [Value::Str(url), Value::Str(html)] => {
-                                pages.push((url.clone(), html.clone()));
-                            }
-                            _ => return Err("`pages` entries must be [url, html] pairs".into()),
-                        },
-                        _ => return Err("`pages` entries must be arrays".to_string()),
-                    }
+                    let Value::Arr(pair) = p else {
+                        return Err("`pages` entries must be arrays".to_string());
+                    };
+                    let Ok([Value::Str(url), Value::Str(html)]) = <[Value; 2]>::try_from(pair)
+                    else {
+                        return Err("`pages` entries must be [url, html] pairs".into());
+                    };
+                    pages.push((url, html));
                 }
                 Ok(JournalRecord::Submitted {
                     job,
-                    vendor: str_field("vendor")?,
+                    vendor: str_field(take("vendor"), "vendor")?,
                     deadline_ms,
                     pages,
                 })
             }
             "stage" => Ok(JournalRecord::Stage {
                 job,
-                stage: str_field("stage")?,
-                key: str_field("key")?,
+                stage: str_field(take("stage"), "stage")?,
+                key: str_field(take("key"), "key")?,
             }),
-            "done" => match value.get("result") {
-                Some(result) => Ok(JournalRecord::Done {
-                    job,
-                    result: result.clone(),
-                }),
+            "done" => match take("result") {
+                Some(result) => Ok(JournalRecord::Done { job, result }),
                 None => Err("missing `result` field".to_string()),
             },
             other => Err(format!("unknown record type `{other}`")),
@@ -189,41 +185,52 @@ impl JournalRecord {
     }
 
     /// Serialize as one checksummed log line (no trailing newline):
-    /// `{"sum":"<fnv1a of rec's bytes>","rec":{…}}`. The vendored
-    /// serializer is deterministic, so the checksum is reproducible at
-    /// replay.
+    /// `{"sum":"<fnv1a of rec's bytes>","rec":{…}}`. The record is
+    /// serialized once; the checksum covers exactly the `rec` bytes in
+    /// the line, which is what [`JournalRecord::parse_line`] hashes.
     pub fn to_line(&self) -> String {
-        let rec = self.to_value();
         #[allow(clippy::unwrap_used)] // Value serialization is infallible.
-        let rec_text = serde_json::to_string(&rec).unwrap();
-        let sum = format!("{:016x}", fnv1a_str(&rec_text));
-        #[allow(clippy::unwrap_used)]
-        serde_json::to_string(&Value::Obj(vec![
-            ("sum".to_string(), Value::Str(sum)),
-            ("rec".to_string(), rec),
-        ]))
-        .unwrap()
+        let rec = serde_json::to_string(&self.to_value()).unwrap();
+        let sum = format!("{:016x}", fnv1a_str(&rec));
+        // Room for the frame and the `\n` the append adds.
+        let mut line = String::with_capacity(rec.len() + 40);
+        line.push_str(r#"{"sum":""#);
+        line.push_str(&sum);
+        line.push_str(r#"","rec":"#);
+        line.push_str(&rec);
+        line.push('}');
+        line
     }
 
     /// Parse and verify one log line. Any failure — bad JSON, missing
     /// framing, checksum mismatch, undecodable record — is a tear: the
-    /// line and everything after it must be discarded.
+    /// line and everything after it must be discarded. The checksum is
+    /// taken over the `rec` bytes as they appear in the line, so a record
+    /// that is equivalent JSON but not the bytes `to_line` writes (an
+    /// escape in place of a plain character, added whitespace) fails it.
     pub fn parse_line(line: &str) -> Result<JournalRecord, String> {
-        let value: Value =
-            serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e:?}"))?;
-        let Some(Value::Str(sum)) = value.get("sum") else {
-            return Err("missing `sum` field".to_string());
+        let (mut value, spans) =
+            serde_json::from_str_with_spans(line).map_err(|e| format!("invalid JSON: {e:?}"))?;
+        let sum = str_field(value.get_mut("sum").map(Value::take), "sum")?;
+        let rec_at = match &value {
+            Value::Obj(fields) => fields.iter().position(|(k, _)| k == "rec"),
+            _ => None,
         };
-        let Some(rec) = value.get("rec") else {
+        let Some(rec_at) = rec_at else {
             return Err("missing `rec` field".to_string());
         };
-        #[allow(clippy::unwrap_used)] // Value serialization is infallible.
-        let rec_text = serde_json::to_string(rec).unwrap();
-        let actual = format!("{:016x}", fnv1a_str(&rec_text));
-        if *sum != actual {
+        let actual = format!("{:016x}", fnv1a_bytes(&line.as_bytes()[spans[rec_at].clone()]));
+        if sum != actual {
             return Err(format!("checksum mismatch (stored {sum}, actual {actual})"));
         }
-        JournalRecord::from_value(rec)
+        JournalRecord::from_value(value.get_mut("rec").map_or(Value::Null, Value::take))
+    }
+}
+
+fn str_field(value: Option<Value>, name: &str) -> Result<String, String> {
+    match value {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(format!("missing string `{name}` field")),
     }
 }
 

@@ -411,13 +411,14 @@ impl Reply {
 
     /// Parse one reply line.
     pub fn parse(line: &str) -> Result<Reply, String> {
-        let value: Value =
+        let mut value: Value =
             serde_json::from_str(line).map_err(|e| format!("unparseable reply: {e:?}"))?;
-        if let Some(ok) = value.get("ok") {
-            return Ok(Reply::Ok(ok.clone()));
+        // The payload moves out of the parsed tree instead of being copied.
+        if let Some(ok) = value.get_mut("ok") {
+            return Ok(Reply::Ok(ok.take()));
         }
-        if let Some(p) = value.get("progress") {
-            return Ok(Reply::Progress(p.clone()));
+        if let Some(p) = value.get_mut("progress") {
+            return Ok(Reply::Progress(p.take()));
         }
         if let Some(err) = value.get("err") {
             let kind = match err.get("kind") {
