@@ -7,8 +7,9 @@
 //!   nesting up to [`RECURSION_LIMIT`]), `to_string` is byte-equal to the
 //!   reference writer, `to_string_pretty` likewise, and the parser reads
 //!   the text back to the same tree.
-//! * Over arbitrary strings (printable soup, JSON-ish token soup and
-//!   single-character mutations of valid documents), `from_str::<Value>`
+//! * Over arbitrary strings (printable soup, JSON-ish token soup,
+//!   single-character mutations of valid documents and documents with
+//!   structural slips), `from_str::<Value>`
 //!   agrees with the reference parser on `Ok` versus `Err`, and on the
 //!   value when both accept.
 //!
@@ -454,6 +455,100 @@ fn mutated_document() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// A document written with occasional structural slips at the points
+/// where a writer emits punctuation: a trailing or doubled comma, a
+/// missing comma or colon, whitespace, a dropped or extra closer, a
+/// number with a bare sign, dot or exponent. `slips[i % len]` decides
+/// the `i`-th point; most decisions write the canonical token.
+fn slipped_document() -> BoxedStrategy<String> {
+    (tree(), prop::collection::vec(0u8..40, 1..16))
+        .prop_map(|(v, slips)| {
+            let mut out = String::new();
+            let mut at = 0;
+            write_slipped(&v, &slips, &mut at, &mut out);
+            out
+        })
+        .boxed()
+}
+
+fn write_slipped(v: &Value, slips: &[u8], at: &mut usize, out: &mut String) {
+    let next = |at: &mut usize| {
+        *at += 1;
+        slips[*at % slips.len()]
+    };
+    let close = |c: char, slip: u8, out: &mut String| match slip {
+        0 => out.push_str(",]"),
+        1 => {}
+        2 => {
+            out.push(c);
+            out.push(c);
+        }
+        3 => {
+            out.push(' ');
+            out.push(c);
+        }
+        _ => out.push(c),
+    };
+    match v {
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    match next(at) {
+                        4 => {}
+                        5 => out.push_str(",,"),
+                        6 => out.push_str(" , "),
+                        _ => out.push(','),
+                    }
+                }
+                write_slipped(item, slips, at, out);
+            }
+            let slip = next(at);
+            if slip == 7 {
+                out.push(',');
+            }
+            close(']', slip, out);
+        }
+        Value::Obj(entries) => {
+            out.push('{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    match next(at) {
+                        4 => {}
+                        5 => out.push_str(",,"),
+                        _ => out.push(','),
+                    }
+                }
+                out.push_str(&reference::to_string(&Value::Str(key.clone())));
+                match next(at) {
+                    8 => {}
+                    9 => out.push_str(" :\n"),
+                    10 => out.push_str("::"),
+                    _ => out.push(':'),
+                }
+                write_slipped(item, slips, at, out);
+            }
+            let slip = next(at);
+            if slip == 7 {
+                out.push(',');
+            }
+            close('}', slip, out);
+        }
+        Value::Num(n) => {
+            let text = reference::to_string(v);
+            match next(at) {
+                11 => out.push('-'),
+                12 => out.push_str(&format!("{text}.")),
+                13 => out.push_str(&format!("{text}e")),
+                14 => out.push_str(&format!("{text}E+1")),
+                15 => out.push_str(&format!("0{}", n.abs())),
+                _ => out.push_str(&text),
+            }
+        }
+        leaf => out.push_str(&reference::to_string(leaf)),
+    }
+}
+
 fn agrees_with_reference(input: &str) -> Result<(), String> {
     match (from_str::<Value>(input), reference::from_str(input)) {
         (Ok(got), Ok(want)) if got == want => Ok(()),
@@ -496,6 +591,11 @@ proptest! {
 
     #[test]
     fn parser_agrees_on_mutated_documents(input in mutated_document()) {
+        agrees_with_reference(&input).map_err(proptest::test_runner::TestCaseError::Fail)?;
+    }
+
+    #[test]
+    fn parser_agrees_on_slipped_documents(input in slipped_document()) {
         agrees_with_reference(&input).map_err(proptest::test_runner::TestCaseError::Fail)?;
     }
 }

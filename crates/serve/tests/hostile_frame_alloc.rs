@@ -30,18 +30,26 @@ fn record(bytes: usize) {
     });
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `record` only updates
+// thread-local counters and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
+        // SAFETY: the caller's guarantees for `layout` carry over.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record(new_size);
+        // SAFETY: as for `dealloc`, plus the caller's guarantee that
+        // `new_size` is valid for `layout`'s alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
