@@ -185,18 +185,18 @@ impl Request {
             kind: ErrKind::Malformed,
             message: format!("malformed request: {detail}"),
         };
-        let value: Value = serde_json::from_str(line)
+        let mut value: Value = serde_json::from_str(line)
             .map_err(|e| malformed(&format!("invalid JSON: {e:?}")))?;
-        let Some(Value::Str(op)) = value.get("op") else {
+        let Some(Value::Str(op)) = value.get_mut("op").map(Value::take) else {
             return Err(malformed("missing string `op` field"));
         };
-        let str_field = |name: &str| -> Result<String, ErrReply> {
+        let str_field = |value: &Value, name: &str| -> Result<String, ErrReply> {
             match value.get(name) {
                 Some(Value::Str(s)) => Ok(s.clone()),
                 _ => Err(malformed(&format!("missing string `{name}` field"))),
             }
         };
-        let num_field = |name: &str| -> Result<Option<u64>, ErrReply> {
+        let num_field = |value: &Value, name: &str| -> Result<Option<u64>, ErrReply> {
             match value.get(name) {
                 None => Ok(None),
                 Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
@@ -209,7 +209,7 @@ impl Request {
             "health" => Ok(Request::Health),
             "catalog" => Ok(Request::Catalog),
             "inspect" => Ok(Request::Inspect {
-                vendor: str_field("vendor")?,
+                vendor: str_field(&value, "vendor")?,
             }),
             "query-mapping" => {
                 let Some(Value::Arr(seqs)) = value.get("sequences") else {
@@ -225,7 +225,7 @@ impl Request {
                 if sequences.is_empty() {
                     return Err(malformed("`sequences` must not be empty"));
                 }
-                let k = num_field("k")?.unwrap_or(5).clamp(1, 100) as usize;
+                let k = num_field(&value, "k")?.unwrap_or(5).clamp(1, 100) as usize;
                 let mode = match value.get("mode") {
                     None => None,
                     Some(Value::Str(s)) => Some(RetrievalMode::parse(s).ok_or_else(|| {
@@ -238,30 +238,28 @@ impl Request {
                 Ok(Request::QueryMapping {
                     sequences,
                     k,
-                    deadline_ms: num_field("deadline_ms")?,
+                    deadline_ms: num_field(&value, "deadline_ms")?,
                     mode,
                 })
             }
             "submit-manual" => {
-                let vendor = str_field("vendor")?;
-                let Some(Value::Arr(raw)) = value.get("pages") else {
+                let vendor = str_field(&value, "vendor")?;
+                // The page strings move out of the parsed tree.
+                let Some(Value::Arr(raw)) = value.get_mut("pages").map(Value::take) else {
                     return Err(malformed("missing `pages` array"));
                 };
                 let mut pages = Vec::with_capacity(raw.len());
                 for p in raw {
-                    match p {
-                        Value::Arr(pair) => match pair.as_slice() {
-                            [Value::Str(url), Value::Str(html)] => {
-                                pages.push((url.clone(), html.clone()));
-                            }
-                            _ => {
-                                return Err(malformed(
-                                    "`pages` entries must be [url, html] string pairs",
-                                ))
-                            }
-                        },
-                        _ => return Err(malformed("`pages` entries must be arrays")),
-                    }
+                    let Value::Arr(pair) = p else {
+                        return Err(malformed("`pages` entries must be arrays"));
+                    };
+                    let Ok([Value::Str(url), Value::Str(html)]) = <[Value; 2]>::try_from(pair)
+                    else {
+                        return Err(malformed(
+                            "`pages` entries must be [url, html] string pairs",
+                        ));
+                    };
+                    pages.push((url, html));
                 }
                 if pages.is_empty() {
                     return Err(malformed("`pages` must not be empty"));
@@ -278,12 +276,12 @@ impl Request {
                 Ok(Request::SubmitManual {
                     vendor,
                     pages,
-                    deadline_ms: num_field("deadline_ms")?,
+                    deadline_ms: num_field(&value, "deadline_ms")?,
                     job,
                 })
             }
             "job-status" => {
-                let job = str_field("job")?;
+                let job = str_field(&value, "job")?;
                 if !valid_job_id(&job) {
                     return Err(malformed(&format!(
                         "`job` must be 1-{MAX_JOB_ID_LEN} chars of [A-Za-z0-9._-]"
@@ -292,7 +290,7 @@ impl Request {
                 Ok(Request::JobStatus { job })
             }
             "debug-sleep" => Ok(Request::DebugSleep {
-                ms: num_field("ms")?.unwrap_or(0),
+                ms: num_field(&value, "ms")?.unwrap_or(0),
             }),
             "debug-panic" => Ok(Request::DebugPanic),
             other => Err(ErrReply {
