@@ -213,7 +213,10 @@ fn resave(store: &ArtifactStore, dir: &Path) -> Vec<u8> {
 }
 
 /// Load `bytes` both ways: no panic, `Ok` or a typed error, and a strict
-/// load that succeeds re-saves to the pristine bytes.
+/// load that succeeds re-saves to the pristine bytes. Strict is the lossy
+/// load that refuses any loss: `load` is `Ok` exactly when `load_lossy`
+/// is `Ok` with no diagnostic, the two stores then re-save to the same
+/// bytes, and two failures are the same error variant.
 fn check_store_bytes(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
     let dir = scratch_dir("case");
     let path = dir.join("store.json");
@@ -222,19 +225,43 @@ fn check_store_bytes(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
     let lossy = catch_unwind(|| ArtifactStore::load_lossy(&path));
     prop_assert!(strict.is_ok(), "strict load panicked on {what}");
     prop_assert!(lossy.is_ok(), "lossy load panicked on {what}");
-    match strict.unwrap() {
+    let (strict, lossy) = (strict.unwrap(), lossy.unwrap());
+    match &strict {
         Ok(store) => prop_assert!(
-            resave(&store, &dir) == pristine_store().as_bytes(),
+            resave(store, &dir) == pristine_store().as_bytes(),
             "{what}: a strict load succeeded on bytes that do not hold the saved store"
         ),
-        Err(e) => prop_assert!(is_typed(&e), "{what}: untyped strict error {e:?}"),
+        Err(e) => prop_assert!(is_typed(e), "{what}: untyped strict error {e:?}"),
     }
-    match lossy.unwrap() {
+    match &lossy {
         Ok((store, _)) => {
-            let saved = catch_unwind(AssertUnwindSafe(|| resave(&store, &dir)));
+            let saved = catch_unwind(AssertUnwindSafe(|| resave(store, &dir)));
             prop_assert!(saved.is_ok(), "{what}: re-saving a lossy load panicked");
         }
-        Err(e) => prop_assert!(is_typed(&e), "{what}: untyped lossy error {e:?}"),
+        Err(e) => prop_assert!(is_typed(e), "{what}: untyped lossy error {e:?}"),
+    }
+    match (&strict, &lossy) {
+        (Ok(store), Ok((salvaged, diags))) => {
+            prop_assert!(
+                diags.is_empty(),
+                "{what}: strict load succeeded but the lossy load reported {diags:?}"
+            );
+            prop_assert!(
+                resave(store, &dir) == resave(salvaged, &dir),
+                "{what}: strict and lossy loads hold different stores"
+            );
+        }
+        (Err(e), Ok((_, diags))) => prop_assert!(
+            !diags.is_empty(),
+            "{what}: strict load failed ({e:?}) but the lossy load lost nothing"
+        ),
+        (Ok(_), Err(e)) => {
+            prop_assert!(false, "{what}: strict load succeeded, lossy failed: {e:?}")
+        }
+        (Err(a), Err(b)) => prop_assert!(
+            std::mem::discriminant(a) == std::mem::discriminant(b),
+            "{what}: strict failed with {a:?}, lossy with {b:?}"
+        ),
     }
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
