@@ -1136,7 +1136,9 @@ mod tests {
         // verified: the load falls back to per-entry salvage.
         let text = std::fs::read_to_string(&path).unwrap();
         let mut value: Value = serde_json::from_str(&text).unwrap();
-        let Value::Obj(sections) = &mut value else { panic!("store is an object") };
+        let Value::Obj(sections) = &mut value else {
+            panic!("store is an object")
+        };
         sections.retain(|(name, _)| name != "checksums");
         for (name, section) in sections.iter_mut() {
             match (name.as_str(), section) {
@@ -1147,7 +1149,9 @@ mod tests {
                     entries.push(("not-hex".to_string(), Value::Num(1.0)));
                 }
                 ("embeddings", emb) => {
-                    let Value::Obj(outer) = emb else { panic!("embeddings is an object") };
+                    let Value::Obj(outer) = emb else {
+                        panic!("embeddings is an object")
+                    };
                     let Value::Obj(entries) = &mut outer[0].1 else {
                         panic!("embeddings entries is an object")
                     };
@@ -1186,8 +1190,7 @@ mod tests {
         // The salvaged store still assimilates correctly: dropped
         // entries are plain cache misses, re-derived from source.
         let mut salvaged = salvaged;
-        let again =
-            assimilate_incremental(parser.as_ref(), pages, &budget, &mut salvaged).unwrap();
+        let again = assimilate_incremental(parser.as_ref(), pages, &budget, &mut salvaged).unwrap();
         assert_eq!(again.build.vdm, store_build_vdm(&m));
         assert_eq!(salvaged.stats.page_misses, 1);
         std::fs::remove_file(&path).ok();
@@ -1221,7 +1224,9 @@ mod tests {
             // catches it even though (for map sections) every remaining
             // entry would parse.
             let mut value: Value = serde_json::from_str(&pristine).unwrap();
-            let Value::Obj(fields) = &mut value else { panic!("store is an object") };
+            let Value::Obj(fields) = &mut value else {
+                panic!("store is an object")
+            };
             for (k, v) in fields.iter_mut() {
                 if k == name {
                     *v = Value::Obj(vec![]);
@@ -1344,8 +1349,11 @@ mod tests {
         // candidate), both for this store and for an unrelated name.
         let committed = std::fs::read(&path).unwrap();
         std::fs::write(dir.join("store.json.tmp.999.0"), b"{torn garbage").unwrap();
-        std::fs::write(dir.join("store.json.tmp.999.1"), &committed[..committed.len() / 3])
-            .unwrap();
+        std::fs::write(
+            dir.join("store.json.tmp.999.1"),
+            &committed[..committed.len() / 3],
+        )
+        .unwrap();
         std::fs::write(dir.join("store.json.tmp.999.2"), &committed).unwrap();
         std::fs::write(dir.join("other.json.tmp.7.0"), b"unrelated").unwrap();
         assert_eq!(crate::crash::orphan_count(&path), 3);
@@ -1443,7 +1451,10 @@ mod tests {
             format!("{{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":{SCHEMA_VERSION}}}");
         let cases: [(&str, &str); 5] = [
             ("garbage.json", "not json at all {{{"),
-            ("magic.json", "{\"magic\":\"SOMETHING-ELSE\",\"schema_version\":2}"),
+            (
+                "magic.json",
+                "{\"magic\":\"SOMETHING-ELSE\",\"schema_version\":2}",
+            ),
             (
                 "version.json",
                 "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":999}",
@@ -1468,7 +1479,11 @@ mod tests {
         }
         // An intact older store is outdated, not corrupt, in both loads.
         let path = dir.join("outdated.json");
-        std::fs::write(&path, "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":3}").unwrap();
+        std::fs::write(
+            &path,
+            "{\"magic\":\"NASSIM-ARTIFACTS\",\"schema_version\":3}",
+        )
+        .unwrap();
         for outcome in [
             ArtifactStore::load(&path).err(),
             ArtifactStore::load_lossy(&path).err(),

@@ -184,11 +184,18 @@ fn io_err(context: String, e: &std::io::Error) -> NassimError {
 ///
 /// After a successful commit, stale `*.tmp.*` orphans left by earlier
 /// crashes are swept best-effort.
-pub fn atomic_write(path: &Path, bytes: &[u8], plan: Option<&CrashPlan>) -> Result<(), NassimError> {
+pub fn atomic_write(
+    path: &Path,
+    bytes: &[u8],
+    plan: Option<&CrashPlan>,
+) -> Result<(), NassimError> {
     let tmp = temp_path(path);
     let injected = plan.and_then(|p| decide_crash(p, PersistOp::StoreWrite, path, bytes.len()));
     // Only a torn kill point carries an offset: the byte it died at.
-    let write_len = injected.as_ref().and_then(|c| c.offset).unwrap_or(bytes.len());
+    let write_len = injected
+        .as_ref()
+        .and_then(|c| c.offset)
+        .unwrap_or(bytes.len());
     {
         let mut f = File::create(&tmp)
             .map_err(|e| io_err(format!("creating temp file `{}`", tmp.display()), &e))?;
@@ -269,7 +276,10 @@ pub fn append_record(
     plan: Option<&CrashPlan>,
 ) -> Result<(), NassimError> {
     let injected = plan.and_then(|p| decide_crash(p, PersistOp::JournalAppend, path, bytes.len()));
-    let write_len = injected.as_ref().and_then(|c| c.offset).unwrap_or(bytes.len());
+    let write_len = injected
+        .as_ref()
+        .and_then(|c| c.offset)
+        .unwrap_or(bytes.len());
     file.write_all(&bytes[..write_len])
         .map_err(|e| io_err(format!("appending to journal `{}`", path.display()), &e))?;
     file.sync_all()

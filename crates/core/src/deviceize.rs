@@ -156,7 +156,9 @@ mod tests {
         let mut server = spawn_device(
             &cat,
             &style,
-            DeviceSpawnOptions { faults: Some(Arc::clone(&plan)) },
+            DeviceSpawnOptions {
+                faults: Some(Arc::clone(&plan)),
+            },
         )
         .unwrap();
         let mut client = DeviceClient::connect(server.addr()).unwrap();

@@ -93,7 +93,11 @@ impl ModelZoo {
         // fewer epochs reproduce that gap at this scale.
         train_contrastive(&mut simcse, &positives, 1, opts.batch_size, opts.lr, 0.5);
 
-        ModelZoo { vocab, sbert, simcse }
+        ModelZoo {
+            vocab,
+            sbert,
+            simcse,
+        }
     }
 
     /// Domain-adapt NetBERT: clone the SBERT-like encoder and fine-tune

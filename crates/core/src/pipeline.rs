@@ -191,7 +191,11 @@ mod tests {
         );
         assert!(a.parse.report.passes(), "{}", a.parse.report);
         assert_eq!(a.syntax.invalid_count(), 0);
-        assert!(a.build.unplaced_pages.is_empty(), "unplaced: {:?}", a.build.unplaced_pages);
+        assert!(
+            a.build.unplaced_pages.is_empty(),
+            "unplaced: {:?}",
+            a.build.unplaced_pages
+        );
         // Every catalog command became at least one CLI-view pair.
         assert!(a.build.vdm.cli_view_pairs() >= Catalog::base().commands.len());
         assert_eq!(a.build.vdm.root_view, "system view");
@@ -234,7 +238,11 @@ mod tests {
         assert!(report.invalid_clis > 0);
         assert!(report.ambiguous_views > 0);
         // Every defect also surfaces as a structured diagnostic.
-        assert!(report.diagnostics.warnings() > 0, "{}", report.diagnostics.render_human());
+        assert!(
+            report.diagnostics.warnings() > 0,
+            "{}",
+            report.diagnostics.render_human()
+        );
     }
 
     #[test]
@@ -244,7 +252,10 @@ mod tests {
             Err(nassim_diag::NassimError::EmptyManual { vendor }) => {
                 assert_eq!(vendor, "helix");
             }
-            other => panic!("expected EmptyManual, got {:?}", other.map(|_| "Assimilation")),
+            other => panic!(
+                "expected EmptyManual, got {:?}",
+                other.map(|_| "Assimilation")
+            ),
         }
     }
 }

@@ -298,10 +298,7 @@ mod tests {
                 ParaDef::new("ipv4-address", "Specifies the IPv4 address of a peer."),
                 ParaDef::new("group-name", "Specifies the name of a peer group."),
             ],
-            examples: vec![vec![
-                "bgp 100".into(),
-                " peer 10.1.1.1 group test".into(),
-            ]],
+            examples: vec![vec!["bgp 100".into(), " peer 10.1.1.1 group test".into()]],
             source: "manual://sample/peer".into(),
         }
     }
@@ -315,7 +312,13 @@ mod tests {
     fn json_round_trip_uses_paper_key_names() {
         let entry = sample_entry();
         let json = entry.to_json();
-        for key in ["\"CLIs\"", "\"FuncDef\"", "\"ParentViews\"", "\"ParaDef\"", "\"Examples\""] {
+        for key in [
+            "\"CLIs\"",
+            "\"FuncDef\"",
+            "\"ParentViews\"",
+            "\"ParaDef\"",
+            "\"Examples\"",
+        ] {
             assert!(json.contains(key), "missing key {key} in {json}");
         }
         assert!(json.contains("\"Paras\""));
@@ -342,7 +345,9 @@ mod tests {
         let mut e = sample_entry();
         e.clis.clear();
         let v = e.check();
-        assert!(v.iter().any(|x| x.check == CorpusCheck::KeysCompleteness && x.field == "CLIs"));
+        assert!(v
+            .iter()
+            .any(|x| x.check == CorpusCheck::KeysCompleteness && x.field == "CLIs"));
     }
 
     #[test]

@@ -187,10 +187,25 @@ mod tests {
     fn sample_udm() -> Udm {
         let mut udm = Udm::new("test-udm");
         let bgp = udm.ensure_path(&["protocols", "bgp", "neighbor"]);
-        udm.add(bgp, "peer-as", "Autonomous system number of the peer.", "uint32");
-        udm.add(bgp, "address", "IP address of the BGP neighbor.", "ipv4-address");
+        udm.add(
+            bgp,
+            "peer-as",
+            "Autonomous system number of the peer.",
+            "uint32",
+        );
+        udm.add(
+            bgp,
+            "address",
+            "IP address of the BGP neighbor.",
+            "ipv4-address",
+        );
         let vlan = udm.ensure_path(&["vlans", "vlan"]);
-        udm.add(vlan, "vlan-id", "Identifier of the VLAN, 1..4094.", "uint16");
+        udm.add(
+            vlan,
+            "vlan-id",
+            "Identifier of the VLAN, 1..4094.",
+            "uint16",
+        );
         udm
     }
 
@@ -236,7 +251,12 @@ mod tests {
     fn leaves_by_name_groups_collisions() {
         let mut udm = sample_udm();
         let ospf = udm.ensure_path(&["protocols", "ospf", "area"]);
-        udm.add(ospf, "address", "Router address inside the area.", "ipv4-address");
+        udm.add(
+            ospf,
+            "address",
+            "Router address inside the area.",
+            "ipv4-address",
+        );
         let by_name = udm.leaves_by_name();
         assert_eq!(by_name["address"].len(), 2);
     }

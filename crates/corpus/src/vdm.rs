@@ -362,6 +362,9 @@ mod tests {
         let json = serde_json::to_string(&vdm).unwrap();
         let back: Vdm = serde_json::from_str(&json).unwrap();
         assert_eq!(back.cli_view_pairs(), vdm.cli_view_pairs());
-        assert_eq!(back.node(VdmNodeId(2)).template, vdm.node(VdmNodeId(2)).template);
+        assert_eq!(
+            back.node(VdmNodeId(2)).template,
+            vdm.node(VdmNodeId(2)).template
+        );
     }
 }

@@ -16,17 +16,16 @@ fn arb_entry() -> impl Strategy<Value = CorpusEntry> {
         prop::collection::vec(("[a-z-]{0,12}", "[a-zA-Z .]{0,30}"), 0..4),
         prop::collection::vec(prop::collection::vec("[a-z0-9 .]{0,20}", 0..4), 0..3),
     )
-        .prop_map(|(clis, func_def, parent_views, para, examples)| CorpusEntry {
-            clis,
-            func_def,
-            parent_views,
-            para_def: para
-                .into_iter()
-                .map(|(p, i)| ParaDef::new(p, i))
-                .collect(),
-            examples,
-            source: String::new(),
-        })
+        .prop_map(
+            |(clis, func_def, parent_views, para, examples)| CorpusEntry {
+                clis,
+                func_def,
+                parent_views,
+                para_def: para.into_iter().map(|(p, i)| ParaDef::new(p, i)).collect(),
+                examples,
+                source: String::new(),
+            },
+        )
 }
 
 proptest! {

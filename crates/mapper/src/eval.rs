@@ -146,7 +146,12 @@ mod tests {
     fn udm() -> Udm {
         let mut udm = Udm::new("u");
         let bgp = udm.ensure_path(&["protocols", "bgp", "neighbor"]);
-        udm.add(bgp, "neighbor-address", "ipv4 address of the bgp neighbor peer", "ipv4-address");
+        udm.add(
+            bgp,
+            "neighbor-address",
+            "ipv4 address of the bgp neighbor peer",
+            "ipv4-address",
+        );
         udm.add(bgp, "peer-group", "name of the peer group", "string");
         let vlan = udm.ensure_path(&["vlans", "vlan"]);
         udm.add(vlan, "vlan-id", "identifier of the vlan", "uint16");
@@ -171,7 +176,13 @@ mod tests {
         };
         let ei = vdm.push_corpus(entry);
         let root = vdm.root();
-        vdm.add_node(root, "peer <ipv4-address> group <group-name>", "BGP view", Some(ei), None);
+        vdm.add_node(
+            root,
+            "peer <ipv4-address> group <group-name>",
+            "BGP view",
+            Some(ei),
+            None,
+        );
         vdm.add_node(
             root,
             "undo peer <ipv4-address> group <group-name>",
@@ -202,8 +213,16 @@ mod tests {
         let vdm = vdm();
         let udm = udm();
         let annotations = vec![
-            ("bgp.peer-group".to_string(), "ipv4-address".to_string(), "no/such/path".to_string()),
-            ("no.such.page".to_string(), "x".to_string(), "vlans/vlan/vlan-id".to_string()),
+            (
+                "bgp.peer-group".to_string(),
+                "ipv4-address".to_string(),
+                "no/such/path".to_string(),
+            ),
+            (
+                "no.such.page".to_string(),
+                "x".to_string(),
+                "vlans/vlan/vlan-id".to_string(),
+            ),
         ];
         assert!(resolve_cases(&vdm, &udm, &annotations).is_empty());
     }
@@ -239,12 +258,16 @@ mod tests {
         let mapper = Mapper::ir(&udm);
         let truth = udm.lookup("vlans/vlan/vlan-id").unwrap();
         let hit = EvalCase {
-            context: Context { sequences: vec!["identifier of the vlan".into()] },
+            context: Context {
+                sequences: vec!["identifier of the vlan".into()],
+            },
             truth,
             label: "hit".into(),
         };
         let miss = EvalCase {
-            context: Context { sequences: vec!["zzz qqq".into()] },
+            context: Context {
+                sequences: vec!["zzz qqq".into()],
+            },
             truth,
             label: "miss".into(),
         };

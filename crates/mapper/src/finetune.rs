@@ -169,7 +169,12 @@ mod tests {
         let mut udm = Udm::new("u");
         let c = udm.ensure_path(&["a"]);
         for i in 0..6 {
-            udm.add(c, format!("leaf-{i}"), format!("description number {i}"), "uint32");
+            udm.add(
+                c,
+                format!("leaf-{i}"),
+                format!("description number {i}"),
+                "uint32",
+            );
         }
         udm
     }
@@ -225,13 +230,7 @@ mod tests {
             let truth_ctx = udm_leaf_context(&udm, case.truth);
             let truth_joined = vocab.encode(&truth_ctx.joined(), 16);
             let truth_name = vocab.encode(&truth_ctx.sequences[0], 16);
-            let pairs = build_pairs(
-                &[case],
-                &udm,
-                &vocab,
-                16,
-                &FinetuneOptions::default(),
-            );
+            let pairs = build_pairs(&[case], &udm, &vocab, 16, &FinetuneOptions::default());
             for n in pairs.iter().filter(|p| p.label == 0.0) {
                 assert_ne!(n.b, truth_joined, "negative equals the true joined context");
                 assert_ne!(n.b, truth_name, "negative equals the true leaf name");
@@ -244,7 +243,9 @@ mod tests {
         let udm = udm();
         let cases = cases(&udm);
         let vocab = Vocab::build(
-            ["query text description number leaf a uint32"].iter().copied(),
+            ["query text description number leaf a uint32"]
+                .iter()
+                .copied(),
             1,
         );
         let mut enc = Encoder::new(

@@ -314,7 +314,11 @@ pub fn context_similarity_pruned(
     let kv = ev.rows.len();
     let ku = eu.rows.len();
     if kv == 0 || ku == 0 {
-        return if PRUNE_MARGIN < threshold { None } else { Some(0.0) };
+        return if PRUNE_MARGIN < threshold {
+            None
+        } else {
+            Some(0.0)
+        };
     }
     let uniform = 1.0 / (kv * ku) as f32;
     let mut remaining: f32 = match weights {
@@ -716,7 +720,13 @@ impl Mapper {
 
     /// IR shortlist (paper: top-50) re-ranked by `embedder`.
     pub fn ir_dl(udm: &Udm, embedder: Arc<dyn Embedder>, shortlist: usize) -> Mapper {
-        Mapper::base(udm, Strategy::IrDl { embedder, shortlist })
+        Mapper::base(
+            udm,
+            Strategy::IrDl {
+                embedder,
+                shortlist,
+            },
+        )
     }
 
     /// The UDM this mapper ranks over.
@@ -1037,8 +1047,18 @@ mod tests {
     fn sample_udm() -> Udm {
         let mut udm = Udm::new("u");
         let bgp = udm.ensure_path(&["protocols", "bgp", "neighbor"]);
-        udm.add(bgp, "peer-as", "autonomous system number of the remote peer", "uint32");
-        udm.add(bgp, "neighbor-address", "ipv4 address of the bgp neighbor", "ipv4-address");
+        udm.add(
+            bgp,
+            "peer-as",
+            "autonomous system number of the remote peer",
+            "uint32",
+        );
+        udm.add(
+            bgp,
+            "neighbor-address",
+            "ipv4 address of the bgp neighbor",
+            "ipv4-address",
+        );
         let vlan = udm.ensure_path(&["vlans", "vlan"]);
         udm.add(vlan, "vlan-id", "identifier of the vlan", "uint16");
         udm
@@ -1063,7 +1083,10 @@ mod tests {
         let udm = sample_udm();
         let m = Mapper::dl(&udm, Arc::new(HashEmbedder));
         let top = m.recommend(&query("ipv4 address of the bgp neighbor"), 3);
-        assert_eq!(udm.path_of(top[0].0), "protocols/bgp/neighbor/neighbor-address");
+        assert_eq!(
+            udm.path_of(top[0].0),
+            "protocols/bgp/neighbor/neighbor-address"
+        );
     }
 
     #[test]
@@ -1115,7 +1138,10 @@ mod tests {
         let udm = sample_udm();
         let m = Mapper::dl(&udm, Arc::new(HashEmbedder));
         let validation: Vec<(Context, _)> = vec![
-            (query("identifier of the vlan"), udm.lookup("vlans/vlan/vlan-id").unwrap()),
+            (
+                query("identifier of the vlan"),
+                udm.lookup("vlans/vlan/vlan-id").unwrap(),
+            ),
             (
                 query("autonomous system number of the peer"),
                 udm.lookup("protocols/bgp/neighbor/peer-as").unwrap(),
@@ -1123,9 +1149,7 @@ mod tests {
         ];
         let uniform = vec![1.0 / 4.0; 4]; // k_V=1, k_U=4
         let tuned = grid_search_weights(&m, &validation, 1, 4);
-        assert!(
-            weight_score(&m, &validation, &tuned) >= weight_score(&m, &validation, &uniform)
-        );
+        assert!(weight_score(&m, &validation, &tuned) >= weight_score(&m, &validation, &uniform));
         assert!((tuned.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
@@ -1135,7 +1159,11 @@ mod tests {
             rows: vec![vec![1.0, 2.0, 3.0], vec![-1.0, 0.5, 2.0]],
         };
         let eu = ContextEmbedding {
-            rows: vec![vec![0.25, 4.0, -2.0], vec![3.0, 3.0, 3.0], vec![0.0, 1.0, 0.0]],
+            rows: vec![
+                vec![0.25, 4.0, -2.0],
+                vec![3.0, 3.0, 3.0],
+                vec![0.0, 1.0, 0.0],
+            ],
         };
         let reference = context_similarity(&ev, &eu, None);
         let fast = context_similarity_normalized(
@@ -1405,9 +1433,10 @@ mod tests {
         assert!(Arc::ptr_eq(m.index(), clone.index()));
         let q = query("attribute number 1 of group 1");
         let here = m.recommend(&q, 4);
-        let there = std::thread::spawn(move || clone.recommend(&query("attribute number 1 of group 1"), 4))
-            .join()
-            .unwrap();
+        let there =
+            std::thread::spawn(move || clone.recommend(&query("attribute number 1 of group 1"), 4))
+                .join()
+                .unwrap();
         assert_eq!(here, there);
     }
 }

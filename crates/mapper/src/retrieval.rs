@@ -150,15 +150,16 @@ struct IvfIndex {
 
 /// Pool every embedding and validate the corpus is uniform enough for the
 /// pooling identity: same row count and width everywhere, both non-zero.
-fn pooled_corpus(
-    embeddings: &[Arc<NormalizedEmbedding>],
-) -> Option<(Vec<Vec<f32>>, usize, usize)> {
+fn pooled_corpus(embeddings: &[Arc<NormalizedEmbedding>]) -> Option<(Vec<Vec<f32>>, usize, usize)> {
     let first = embeddings.first()?;
     let (dim, ku) = (first.width(), first.row_count());
     if dim == 0 || ku == 0 {
         return None;
     }
-    if embeddings.iter().any(|e| e.width() != dim || e.row_count() != ku) {
+    if embeddings
+        .iter()
+        .any(|e| e.width() != dim || e.row_count() != ku)
+    {
         return None;
     }
     let pooled = nassim_exec::par_map_chunked(embeddings, BUILD_MIN_CHUNK, |e| e.pooled_scaled());
@@ -239,7 +240,11 @@ impl SublinearIndex {
             return 0;
         }
         let auto = (nlist / 4).max(8);
-        if probes == 0 { auto.min(nlist) } else { probes.min(nlist) }
+        if probes == 0 {
+            auto.min(nlist)
+        } else {
+            probes.min(nlist)
+        }
     }
 
     /// Quantized full-corpus candidate scan.
@@ -249,7 +254,13 @@ impl SublinearIndex {
 
     /// IVF probe + quantized scan of the probed clusters. Falls back to
     /// the full scan when no IVF layer exists (small corpus).
-    fn scan_probed(&self, pooled_q: &[f32], qq: &QuantizedQuery, probes: usize, r: usize) -> Vec<usize> {
+    fn scan_probed(
+        &self,
+        pooled_q: &[f32],
+        qq: &QuantizedQuery,
+        probes: usize,
+        r: usize,
+    ) -> Vec<usize> {
         let Some(ivf) = &self.ivf else {
             return self.scan_all(qq, r);
         };
@@ -320,7 +331,11 @@ impl IvfIndex {
         for (i, &c) in assign.iter().enumerate() {
             clusters[c as usize].push(i as u32);
         }
-        Some(IvfIndex { nlist, centroids, clusters })
+        Some(IvfIndex {
+            nlist,
+            centroids,
+            clusters,
+        })
     }
 }
 
@@ -389,7 +404,11 @@ impl Mapper {
                 Some(cache) => cache.get_or_build(&self.index.leaf_embeddings),
             };
         }
-        self.retrieval = if self.sublinear.is_some() { mode } else { RetrievalMode::Exact };
+        self.retrieval = if self.sublinear.is_some() {
+            mode
+        } else {
+            RetrievalMode::Exact
+        };
     }
 
     /// One-shot clone with a different retrieval mode: mapper clones share
@@ -577,7 +596,10 @@ fn index_to_value(idx: &SublinearIndex) -> Value {
         ("n".to_string(), Value::Num(idx.n as f64)),
         ("dim".to_string(), Value::Num(idx.dim as f64)),
         ("ku".to_string(), Value::Num(idx.rows_per_context as f64)),
-        ("hash".to_string(), Value::Str(format!("{:016x}", idx.corpus_hash))),
+        (
+            "hash".to_string(),
+            Value::Str(format!("{:016x}", idx.corpus_hash)),
+        ),
         ("scales".to_string(), scales.to_value()),
         ("codes".to_string(), codes.to_value()),
     ];
@@ -611,13 +633,15 @@ fn index_from_value(v: &Value) -> Result<SublinearIndex, DeError> {
         _ => return Err(DeError::new("SublinearIndex: missing `hash`")),
     };
     let scale_bits: Vec<u32> = Deserialize::from_value(
-        v.get("scales").ok_or_else(|| DeError::new("SublinearIndex: missing `scales`"))?,
+        v.get("scales")
+            .ok_or_else(|| DeError::new("SublinearIndex: missing `scales`"))?,
     )?;
     if scale_bits.len() != dim {
         return Err(DeError::new("SublinearIndex: scales/dim mismatch"));
     }
     let code_nums: Vec<i64> = Deserialize::from_value(
-        v.get("codes").ok_or_else(|| DeError::new("SublinearIndex: missing `codes`"))?,
+        v.get("codes")
+            .ok_or_else(|| DeError::new("SublinearIndex: missing `codes`"))?,
     )?;
     if code_nums.len() != n * dim {
         return Err(DeError::new("SublinearIndex: codes/n×dim mismatch"));
@@ -712,15 +736,26 @@ mod tests {
     }
 
     fn query(text: &str) -> Context {
-        Context { sequences: vec![text.to_string()] }
+        Context {
+            sequences: vec![text.to_string()],
+        }
     }
 
     #[test]
     fn mode_parsing_round_trips() {
         assert_eq!(RetrievalMode::parse("exact"), Some(RetrievalMode::Exact));
-        assert_eq!(RetrievalMode::parse("quantized"), Some(RetrievalMode::Quantized));
-        assert_eq!(RetrievalMode::parse("ann"), Some(RetrievalMode::Ann { probes: 0 }));
-        assert_eq!(RetrievalMode::parse("ann:12"), Some(RetrievalMode::Ann { probes: 12 }));
+        assert_eq!(
+            RetrievalMode::parse("quantized"),
+            Some(RetrievalMode::Quantized)
+        );
+        assert_eq!(
+            RetrievalMode::parse("ann"),
+            Some(RetrievalMode::Ann { probes: 0 })
+        );
+        assert_eq!(
+            RetrievalMode::parse("ann:12"),
+            Some(RetrievalMode::Ann { probes: 12 })
+        );
         assert_eq!(RetrievalMode::parse("ann:"), None);
         assert_eq!(RetrievalMode::parse("ANN"), None);
         assert_eq!(RetrievalMode::parse("hnsw"), None);

@@ -80,7 +80,10 @@ fn query_batch() -> Vec<Context> {
 }
 
 /// recall@k of `got` against the exact top-k `want` (leaf-id overlap).
-fn recall(got: &[(nassim_corpus::UdmNodeId, f32)], want: &[(nassim_corpus::UdmNodeId, f32)]) -> f64 {
+fn recall(
+    got: &[(nassim_corpus::UdmNodeId, f32)],
+    want: &[(nassim_corpus::UdmNodeId, f32)],
+) -> f64 {
     if want.is_empty() {
         return 1.0;
     }
@@ -180,7 +183,10 @@ fn ann_recall_at_10_meets_the_documented_floor() {
         let ann = exact.with_retrieval_mode(RetrievalMode::Ann { probes: 0 });
         assert_eq!(ann.retrieval_mode(), RetrievalMode::Ann { probes: 0 });
         let stats = ann.retrieval_stats();
-        assert!(stats.nlist > 0, "corpus of {n} leaves must carry an IVF layer");
+        assert!(
+            stats.nlist > 0,
+            "corpus of {n} leaves must carry an IVF layer"
+        );
         let mut total = 0.0;
         let queries = query_batch();
         for q in &queries {
