@@ -66,17 +66,22 @@
 //! are size-capped ([`MAX_STORE_BYTES`]) against adversarial inputs,
 //! and any corruption surfaces as the typed
 //! [`NassimError::ArtifactCorrupt`] rather than a panic or a silently
-//! empty store. [`ArtifactStore::load_lossy`] degrades instead of
-//! failing: a section whose checksum does not match its bytes is a
-//! torn or tampered write and is dropped whole (its entries are *not*
-//! trusted), while a store whose checksum footer is missing entirely
-//! falls back to per-entry salvage — either way each loss is a
-//! [`Stage::Internal`] diagnostic and every loss is only a future
-//! cache miss, re-derived from source.
+//! empty store.
+//!
+//! Both loads run one decoder, and strict is the lossy decode with
+//! zero losses. Each section has one decode function over the shared
+//! [`nassim_corpus::keyed`] codec. A section whose checksum does not
+//! match its bytes is a torn or tampered write and is dropped whole
+//! (its entries are *not* trusted), while a store whose checksum footer
+//! is missing entirely falls back to per-entry salvage. A loss is only
+//! ever a future cache miss, re-derived from source.
+//! [`ArtifactStore::load_lossy`] reports each loss as a
+//! [`Stage::Internal`] diagnostic; [`ArtifactStore::load`] fails with
+//! the first.
 
 use crate::crash::{atomic_write, global_crash_plan, CrashPlan};
 use crate::pipeline::{finish_assimilation, keyed_pages, Assimilation};
-use nassim_corpus::{fnv1a_bytes, Fnv1a};
+use nassim_corpus::{fnv1a_bytes, keyed, Fnv1a};
 use nassim_diag::NassimError;
 use nassim_diag::{Diagnostic, Stage};
 use nassim_html::IngestBudget;
@@ -91,7 +96,7 @@ use nassim_validator::{
     audit_misses, build_vdm, derive_hierarchy_cached, evidence_fields_key, fold_page_syntax,
     graph_key, syntax_key, EvidenceCache, GraphCache,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::path::Path;
@@ -281,8 +286,8 @@ impl ArtifactStore {
         // dropped in turn, and its checksum is taken over the bytes just
         // written, so every byte is serialized once.
         let sections: [&dyn Fn() -> Value; 6] = [
-            &|| keyed_map_to_value(&self.pages),
-            &|| keyed_map_to_value(&self.syntax),
+            &|| keyed::encode(&self.pages, PageRecord::to_value),
+            &|| keyed::encode(&self.syntax, PageSyntax::to_value),
             &|| self.graphs.to_value(),
             &|| self.evidence.to_value(),
             &|| self.embeddings.to_value(),
@@ -305,70 +310,21 @@ impl ArtifactStore {
         atomic_write(path, &buf, plan)
     }
 
-    /// Load a store saved by [`ArtifactStore::save`]. I/O failures are
-    /// [`NassimError::Io`]; anything structurally wrong with the file —
-    /// oversized, bad JSON, missing or wrong magic, unknown schema
-    /// version, a section checksum that does not match its bytes, a
-    /// field that does not deserialize — is
-    /// [`NassimError::ArtifactCorrupt`].
+    /// Load a store saved by [`ArtifactStore::save`], refusing any loss:
+    /// this is [`ArtifactStore::load_lossy`] when that reports nothing.
+    /// I/O failures are [`NassimError::Io`] and an older schema version
+    /// is [`NassimError::ArtifactOutdated`]; anything else wrong with
+    /// the file — oversized, not UTF-8, bad JSON, missing or wrong magic,
+    /// unknown schema version, a missing footer or section, a section
+    /// checksum that does not match its bytes, an entry that does not
+    /// decode — is [`NassimError::ArtifactCorrupt`] naming the first
+    /// loss.
     pub fn load(path: &Path) -> Result<ArtifactStore, NassimError> {
-        let text = read_store_bounded(path)?;
-        let corrupt = |reason: String| NassimError::ArtifactCorrupt {
-            path: path.display().to_string(),
-            reason,
-        };
-        let (value, spans) = serde_json::from_str_with_spans(&text)
-            .map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
-        check_header(path, &value)?;
-        let Some(Value::Obj(sums)) = value.get("checksums") else {
-            return Err(corrupt("missing `checksums` footer".to_string()));
-        };
-        for name in SECTIONS {
-            let Some(section) = member_bytes(&text, &value, &spans, name) else {
-                return Err(corrupt(format!("missing `{name}` section")));
-            };
-            let Some(Value::Str(stored)) = sums.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-            else {
-                return Err(corrupt(format!("missing checksum for section `{name}`")));
-            };
-            let actual = section_checksum(section);
-            if *stored != actual {
-                return Err(corrupt(format!(
-                    "section `{name}` checksum mismatch (stored {stored}, actual {actual}): \
-                     torn or tampered write"
-                )));
-            }
+        let (store, losses) = decode(path)?;
+        match losses.into_iter().next() {
+            Some(reason) => Err(corrupt(path, reason)),
+            None => Ok(store),
         }
-        let pages = keyed_map_from_value(value.get("pages"), "pages").map_err(|e| corrupt(e.0))?;
-        let syntax =
-            keyed_map_from_value(value.get("syntax"), "syntax").map_err(|e| corrupt(e.0))?;
-        let graphs = match value.get("graphs") {
-            Some(v) => GraphCache::from_value(v).map_err(|e| corrupt(e.0))?,
-            None => return Err(corrupt("missing `graphs` section".to_string())),
-        };
-        let evidence = match value.get("evidence") {
-            Some(v) => EvidenceCache::from_value(v).map_err(|e| corrupt(e.0))?,
-            None => return Err(corrupt("missing `evidence` section".to_string())),
-        };
-        let embeddings = match value.get("embeddings") {
-            Some(v) => EmbeddingCache::from_value(v).map_err(|e| corrupt(e.0))?,
-            None => return Err(corrupt("missing `embeddings` section".to_string())),
-        };
-        let ann = match value.get("ann") {
-            Some(v) => AnnCache::from_value(v).map_err(|e| corrupt(e.0))?,
-            None => return Err(corrupt("missing `ann` section".to_string())),
-        };
-        Ok(ArtifactStore {
-            pages,
-            syntax,
-            graphs,
-            evidence,
-            embeddings,
-            ann,
-            derived: None,
-            keys: KeyMemo::default(),
-            stats: StoreStats::default(),
-        })
     }
 
     /// Degraded-startup variant of [`ArtifactStore::load`], for
@@ -386,174 +342,22 @@ impl ArtifactStore {
     /// * a salvaged loss is only ever a future cache miss — re-derived
     ///   from source, never trusted.
     ///
-    /// Damage the header cannot absorb (unreadable or oversized file,
-    /// invalid JSON, wrong magic, unknown schema version) still fails
-    /// hard with [`NassimError::Io`] / [`NassimError::ArtifactCorrupt`]:
-    /// with no trustworthy frame there is nothing to salvage. An older
-    /// schema version is [`NassimError::ArtifactOutdated`], as in
-    /// [`ArtifactStore::load`].
+    /// Damage the header cannot absorb (unreadable, oversized or
+    /// non-UTF-8 file, invalid JSON, wrong magic, unknown schema
+    /// version) still fails hard with [`NassimError::Io`] /
+    /// [`NassimError::ArtifactCorrupt`]: with no trustworthy frame there
+    /// is nothing to salvage. An older schema version is
+    /// [`NassimError::ArtifactOutdated`], as in [`ArtifactStore::load`].
     pub fn load_lossy(path: &Path) -> Result<(ArtifactStore, Vec<Diagnostic>), NassimError> {
-        let text = read_store_bounded(path)?;
-        let corrupt = |reason: String| NassimError::ArtifactCorrupt {
-            path: path.display().to_string(),
-            reason,
-        };
-        let (value, spans) = serde_json::from_str_with_spans(&text)
-            .map_err(|e| corrupt(format!("invalid JSON: {e:?}")))?;
-        check_header(path, &value)?;
-
-        let mut diagnostics = Vec::new();
-        let mut warn = |message: String| {
-            diagnostics.push(Diagnostic::warning(
-                Stage::Internal,
-                format!("artifact store `{}`: {message}", path.display()),
-            ));
-        };
-
-        let sums = match value.get("checksums") {
-            Some(Value::Obj(sums)) => Some(sums),
-            Some(_) => {
-                warn("`checksums` footer is not an object (sections unverifiable)".to_string());
-                None
-            }
-            None => {
-                warn("missing `checksums` footer (sections unverifiable)".to_string());
-                None
-            }
-        };
-        // With a footer present, a section either verifies (its bytes
-        // are exactly what `save` wrote — entries are trustworthy) or
-        // it is dropped whole. Without a footer nothing verifies and
-        // per-entry salvage is the best remaining option.
-        let mut verified = |name: &str| -> Option<bool> {
-            let sums = sums?;
-            let section = member_bytes(&text, &value, &spans, name)?;
-            let stored = match sums.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-                Some(Value::Str(s)) => s.clone(),
-                _ => {
-                    warn(format!("section `{name}` has no checksum; dropping it"));
-                    return Some(false);
-                }
-            };
-            let actual = section_checksum(section);
-            if actual == stored {
-                return Some(true);
-            }
-            warn(format!(
-                "section `{name}` failed its integrity checksum \
-                 (stored {stored}, actual {actual}): torn or tampered write; \
-                 dropping the section"
-            ));
-            Some(false)
-        };
-        // None ⇒ unverifiable (no footer / section missing): salvage
-        // entry-wise. Some(false) ⇒ verified torn: drop whole.
-        let pages_ok = verified("pages");
-        let syntax_ok = verified("syntax");
-        let graphs_ok = verified("graphs");
-        let evidence_ok = verified("evidence");
-        let embeddings_ok = verified("embeddings");
-        let ann_ok = verified("ann");
-
-        let mut diag = |what: &str, detail: String| {
-            diagnostics.push(Diagnostic::warning(
-                Stage::Internal,
-                format!(
-                    "artifact store `{}`: dropped corrupt {what}: {detail}",
-                    path.display()
-                ),
-            ));
-        };
-        let pages = match pages_ok {
-            Some(false) => HashMap::new(),
-            _ => keyed_map_from_value_lossy(value.get("pages"), "pages", &mut diag),
-        };
-        let syntax = match syntax_ok {
-            Some(false) => HashMap::new(),
-            _ => keyed_map_from_value_lossy(value.get("syntax"), "syntax", &mut diag),
-        };
-        let graphs = match (graphs_ok, value.get("graphs")) {
-            (Some(false), _) => GraphCache::new(),
-            (_, Some(v)) => {
-                let (cache, errors) = GraphCache::from_value_lossy(v);
-                for e in errors {
-                    diag("graph entry", e);
-                }
-                cache
-            }
-            (_, None) => {
-                diag(
-                    "section",
-                    "missing `graphs` section (starting empty)".to_string(),
-                );
-                GraphCache::new()
-            }
-        };
-        let evidence = match (evidence_ok, value.get("evidence")) {
-            (Some(false), _) => EvidenceCache::new(),
-            (_, Some(v)) => {
-                let (cache, errors) = EvidenceCache::from_value_lossy(v);
-                for e in errors {
-                    diag("evidence entry", e);
-                }
-                cache
-            }
-            (_, None) => {
-                diag(
-                    "section",
-                    "missing `evidence` section (starting empty)".to_string(),
-                );
-                EvidenceCache::new()
-            }
-        };
-        let embeddings = match (embeddings_ok, value.get("embeddings")) {
-            (Some(false), _) => EmbeddingCache::new(),
-            (_, Some(v)) => {
-                let (cache, errors) = EmbeddingCache::from_value_lossy(v);
-                for e in errors {
-                    diag("embedding entry", e);
-                }
-                cache
-            }
-            (_, None) => {
-                diag(
-                    "section",
-                    "missing `embeddings` section (starting empty)".to_string(),
-                );
-                EmbeddingCache::new()
-            }
-        };
-        let ann = match (ann_ok, value.get("ann")) {
-            (Some(false), _) => AnnCache::new(),
-            (_, Some(v)) => {
-                let (cache, errors) = AnnCache::from_value_lossy(v);
-                for e in errors {
-                    diag("ann index entry", e);
-                }
-                cache
-            }
-            (_, None) => {
-                diag(
-                    "section",
-                    "missing `ann` section (starting empty)".to_string(),
-                );
-                AnnCache::new()
-            }
-        };
-        Ok((
-            ArtifactStore {
-                pages,
-                syntax,
-                graphs,
-                evidence,
-                embeddings,
-                ann,
-                derived: None,
-                keys: KeyMemo::default(),
-                stats: StoreStats::default(),
-            },
-            diagnostics,
-        ))
+        let (store, losses) = decode(path)?;
+        let diagnostics = losses
+            .into_iter()
+            .map(|loss| {
+                let message = format!("artifact store `{}`: {loss}", path.display());
+                Diagnostic::warning(Stage::Internal, message)
+            })
+            .collect();
+        Ok((store, diagnostics))
     }
 
     /// [`Mapper::dl`] through this store's embedding cache: only leaf
@@ -770,57 +574,155 @@ fn write_member(buf: &mut Vec<u8>, name: &str, value: &Value) -> Result<Range<us
     Ok(start..buf.len())
 }
 
-/// The bytes of top-level member `name` as the parser consumed them
-/// (the first such member, as [`Value::get`] finds it); `spans` is what
-/// [`serde_json::from_str_with_spans`] returned with `value`.
-fn member_bytes<'t>(
-    text: &'t str,
-    value: &Value,
-    spans: &[Range<usize>],
-    name: &str,
-) -> Option<&'t [u8]> {
-    let Value::Obj(entries) = value else {
-        return None;
+/// The one store decoder behind both loads: the frame (size cap, UTF-8,
+/// JSON, magic, schema version) must hold or the load fails; past it,
+/// every section and entry that verifies is kept and every one that does
+/// not is dropped and described in the returned losses.
+fn decode(path: &Path) -> Result<(ArtifactStore, Vec<String>), NassimError> {
+    let text = read_store_bounded(path)?;
+    let (value, spans) = serde_json::from_str_with_spans(&text)
+        .map_err(|e| corrupt(path, format!("invalid JSON: {e:?}")))?;
+    check_header(path, &value)?;
+    let sums = match value.get("checksums") {
+        Some(Value::Obj(sums)) => Some(sums.as_slice()),
+        _ => None,
     };
-    let i = entries.iter().position(|(k, _)| k == name)?;
-    text.as_bytes().get(spans.get(i)?.clone())
+    let mut sections = Sections {
+        text: text.as_bytes(),
+        members: match &value {
+            Value::Obj(members) => members,
+            _ => &[],
+        },
+        spans: &spans,
+        sums,
+        losses: Vec::new(),
+    };
+    if sums.is_none() {
+        let loss = "`checksums` footer missing or not an object (sections unverifiable)";
+        sections.losses.push(loss.to_string());
+    }
+    let store = ArtifactStore {
+        pages: sections.take("pages", plain_artifacts),
+        syntax: sections.take("syntax", plain_artifacts),
+        graphs: sections.take("graphs", GraphCache::decode),
+        evidence: sections.take("evidence", EvidenceCache::decode),
+        embeddings: sections.take("embeddings", EmbeddingCache::decode),
+        ann: sections.take("ann", AnnCache::decode),
+        ..ArtifactStore::default()
+    };
+    Ok((store, sections.losses))
+}
+
+/// Decoder of a section whose entries are plain serde artifacts.
+fn plain_artifacts<T: Deserialize>(v: &Value) -> (HashMap<u64, Arc<T>>, Vec<String>) {
+    keyed::decode(Some(v), |_, v| T::from_value(v))
+}
+
+/// A parsed store's top-level members, read section by section.
+struct Sections<'a> {
+    text: &'a [u8],
+    members: &'a [(String, Value)],
+    /// Byte range of each member's value in `text`, as parsed.
+    spans: &'a [Range<usize>],
+    /// The `checksums` footer; `None` when there is none to verify
+    /// against.
+    sums: Option<&'a [(String, Value)]>,
+    losses: Vec<String>,
+}
+
+impl Sections<'_> {
+    /// Section `name` through its `decode`. With a footer, a section
+    /// whose bytes do not match its checksum is a torn or tampered write
+    /// and is dropped whole: a tampered entry can still parse, so its
+    /// entries are never trusted. Without one, every entry that decodes
+    /// is kept. Every loss is recorded.
+    fn take<T: Default>(
+        &mut self,
+        name: &str,
+        decode: impl FnOnce(&Value) -> (T, Vec<String>),
+    ) -> T {
+        let member = self
+            .members
+            .iter()
+            .enumerate()
+            .find(|(_, (k, _))| k == name);
+        let Some((i, (_, section))) = member else {
+            self.losses
+                .push(format!("missing `{name}` section (starting empty)"));
+            return T::default();
+        };
+        if let Some(sums) = self.sums {
+            let bytes = self
+                .spans
+                .get(i)
+                .and_then(|span| self.text.get(span.clone()));
+            let actual = section_checksum(bytes.unwrap_or_default());
+            match sums.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
+                Some(Value::Str(stored)) if *stored == actual => {}
+                Some(Value::Str(stored)) => {
+                    self.losses.push(format!(
+                        "section `{name}` failed its integrity checksum \
+                         (`{name}` checksum mismatch: stored {stored}, actual {actual}): \
+                         torn or tampered write; dropping the section"
+                    ));
+                    return T::default();
+                }
+                _ => {
+                    self.losses
+                        .push(format!("section `{name}` has no checksum; dropping it"));
+                    return T::default();
+                }
+            }
+        }
+        let (section, errors) = decode(section);
+        let dropped = errors
+            .into_iter()
+            .map(|e| format!("section `{name}`: dropped corrupt {e}"));
+        self.losses.extend(dropped);
+        section
+    }
+}
+
+fn corrupt(path: &Path, reason: String) -> NassimError {
+    NassimError::ArtifactCorrupt {
+        path: path.display().to_string(),
+        reason,
+    }
 }
 
 /// Size-capped read of a store file: the metadata is consulted before
 /// any allocation, so a multi-GB corrupt or adversarial file fails
-/// typed without being read.
+/// typed without being read. Bytes that are not UTF-8 are corruption,
+/// like invalid JSON.
 fn read_store_bounded(path: &Path) -> Result<String, NassimError> {
-    let meta = std::fs::metadata(path).map_err(|e| NassimError::Io {
+    let io = |e: std::io::Error| NassimError::Io {
         context: format!("reading artifact store from `{}`", path.display()),
         reason: e.to_string(),
-    })?;
-    if meta.len() > MAX_STORE_BYTES {
-        return Err(NassimError::ArtifactCorrupt {
-            path: path.display().to_string(),
-            reason: format!(
-                "store file is {} bytes, over the {MAX_STORE_BYTES}-byte load cap",
-                meta.len()
-            ),
-        });
+    };
+    let len = std::fs::metadata(path).map_err(io)?.len();
+    if len > MAX_STORE_BYTES {
+        return Err(corrupt(
+            path,
+            format!("store file is {len} bytes, over the {MAX_STORE_BYTES}-byte load cap"),
+        ));
     }
-    std::fs::read_to_string(path).map_err(|e| NassimError::Io {
-        context: format!("reading artifact store from `{}`", path.display()),
-        reason: e.to_string(),
+    String::from_utf8(std::fs::read(path).map_err(io)?).map_err(|e| {
+        let at = e.utf8_error().valid_up_to();
+        corrupt(path, format!("not UTF-8: invalid byte at offset {at}"))
     })
 }
 
-/// Magic + schema gate shared by both loads.
+/// Magic + schema gate.
 fn check_header(path: &Path, value: &Value) -> Result<(), NassimError> {
-    let corrupt = |reason: String| NassimError::ArtifactCorrupt {
-        path: path.display().to_string(),
-        reason,
-    };
     match value.get("magic") {
         Some(Value::Str(m)) if m == MAGIC => {}
         Some(Value::Str(m)) => {
-            return Err(corrupt(format!("bad magic `{m}` (expected `{MAGIC}`)")))
+            return Err(corrupt(
+                path,
+                format!("bad magic `{m}` (expected `{MAGIC}`)"),
+            ))
         }
-        _ => return Err(corrupt("missing magic header".to_string())),
+        _ => return Err(corrupt(path, "missing magic header".to_string())),
     }
     match value.get("schema_version") {
         Some(Value::Num(v)) if *v == SCHEMA_VERSION as f64 => Ok(()),
@@ -831,76 +733,12 @@ fn check_header(path: &Path, value: &Value) -> Result<(), NassimError> {
                 expected: SCHEMA_VERSION,
             })
         }
-        Some(Value::Num(v)) => Err(corrupt(format!(
-            "unsupported schema version {v} (expected {SCHEMA_VERSION})"
-        ))),
-        _ => Err(corrupt("missing schema version".to_string())),
+        Some(Value::Num(v)) => Err(corrupt(
+            path,
+            format!("unsupported schema version {v} (expected {SCHEMA_VERSION})"),
+        )),
+        _ => Err(corrupt(path, "missing schema version".to_string())),
     }
-}
-
-/// u64-keyed artifact map → JSON object with fixed-width hex keys (the
-/// vendored JSON value model has string keys only), sorted for stable
-/// output.
-fn keyed_map_to_value<T: Serialize>(map: &HashMap<u64, Arc<T>>) -> Value {
-    let mut entries: Vec<(String, Value)> = map
-        .iter()
-        .map(|(k, v)| (format!("{k:016x}"), v.to_value()))
-        .collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    Value::Obj(entries)
-}
-
-fn keyed_map_from_value<T: Deserialize>(
-    v: Option<&Value>,
-    what: &str,
-) -> Result<HashMap<u64, Arc<T>>, DeError> {
-    let Some(Value::Obj(entries)) = v else {
-        return Err(DeError::new(format!("missing `{what}` object")));
-    };
-    let mut map = HashMap::with_capacity(entries.len());
-    for (key, val) in entries {
-        let k = u64::from_str_radix(key, 16)
-            .map_err(|e| DeError::new(format!("`{what}` key `{key}` is not hex: {e}")))?;
-        map.insert(k, Arc::new(T::from_value(val)?));
-    }
-    Ok(map)
-}
-
-/// Per-entry lossy variant of [`keyed_map_from_value`]: bad keys and
-/// undeserializable values are reported through `diag` and skipped, a
-/// missing or malformed section salvages nothing (one report, empty
-/// map). Valid entries always load.
-fn keyed_map_from_value_lossy<T: Deserialize>(
-    v: Option<&Value>,
-    what: &str,
-    diag: &mut impl FnMut(&str, String),
-) -> HashMap<u64, Arc<T>> {
-    let Some(Value::Obj(entries)) = v else {
-        diag(
-            "section",
-            format!("missing `{what}` object (starting empty)"),
-        );
-        return HashMap::new();
-    };
-    let mut map = HashMap::with_capacity(entries.len());
-    for (key, val) in entries {
-        let k = match u64::from_str_radix(key, 16) {
-            Ok(k) => k,
-            Err(e) => {
-                diag("entry", format!("`{what}` key `{key}` is not hex: {e}"));
-                continue;
-            }
-        };
-        match T::from_value(val) {
-            Ok(artifact) => {
-                map.insert(k, Arc::new(artifact));
-            }
-            Err(e) => {
-                diag("entry", format!("`{what}` entry `{key}`: {}", e.0));
-            }
-        }
-    }
-    map
 }
 
 /// Content key of a whole manual revision: FNV over the ordered
@@ -1390,6 +1228,34 @@ mod tests {
             match result {
                 Some(NassimError::ArtifactCorrupt { reason, .. }) => {
                     assert!(reason.contains("load cap"), "{reason}");
+                }
+                other => panic!("expected ArtifactCorrupt, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A byte that is not UTF-8 is corruption, not an I/O failure, and
+    /// fails the whole load either way, as invalid JSON does.
+    #[test]
+    fn non_utf8_store_is_corrupt_in_both_loads() {
+        let dir = std::env::temp_dir().join("nassim-artifact-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        ArtifactStore::new().save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let ann = bytes.windows(6).position(|w| w == b"\"ann\":").unwrap();
+        let at = ann + 8;
+        bytes[at] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [
+            ArtifactStore::load(&path).err(),
+            ArtifactStore::load_lossy(&path).err(),
+        ] {
+            match result {
+                Some(NassimError::ArtifactCorrupt { reason, .. }) => {
+                    assert!(reason.contains("not UTF-8"), "{reason}");
+                    assert!(reason.contains(&format!("offset {at}")), "{reason}");
                 }
                 other => panic!("expected ArtifactCorrupt, got {other:?}"),
             }

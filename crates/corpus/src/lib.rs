@@ -12,6 +12,8 @@
 //!   entries) and whose edges are the configuration hierarchy (§3.1).
 //! * [`udm`] — the Unified Device Model of the SDN controller: a tree of
 //!   configuration attributes annotated with brief context (§3.2).
+//! * [`keyed`] — the JSON form of a content-addressed artifact map,
+//!   shared by every artifact-store section.
 //!
 //! Everything here is plain serde-serialisable data; algorithms that build
 //! or consume these structures live in `nassim-parser`, `nassim-validator`
@@ -19,6 +21,7 @@
 
 pub mod format;
 pub mod hash;
+pub mod keyed;
 pub mod udm;
 pub mod vdm;
 

@@ -16,11 +16,11 @@
 //!   the paper's §7.3 composite would implement.
 
 use crate::context::{udm_leaf_context, Context};
-use nassim_corpus::{Fnv1a, Udm, UdmNodeId};
+use nassim_corpus::{keyed, Fnv1a, Udm, UdmNodeId};
 use nassim_nlp::tensor::cosine;
 use nassim_nlp::topk::TopK;
 use nassim_nlp::{BatchEncoder, Encoder, TfIdf, Vocab};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -477,74 +477,28 @@ impl EmbeddingCache {
     }
 }
 
-/// Persistence form: keys as fixed-width hex strings (the vendored JSON
-/// value model has no u64 map keys), embeddings as their raw IEEE-754
+/// Persistence form: [`keyed`] keys, embeddings as their raw IEEE-754
 /// bit rows. Hit/miss counters are session statistics, not content, and
 /// deliberately reset on load.
-impl Serialize for EmbeddingCache {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .entries
-            .iter()
-            .map(|(k, e)| (format!("{k:016x}"), e.to_bit_rows().to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(vec![("entries".to_string(), Value::Obj(entries))])
-    }
-}
-
-impl Deserialize for EmbeddingCache {
-    fn from_value(v: &Value) -> Result<EmbeddingCache, DeError> {
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            return Err(DeError::new("EmbeddingCache: missing `entries` object"));
-        };
-        let mut cache = EmbeddingCache::new();
-        for (key, val) in entries {
-            let k = u64::from_str_radix(key, 16)
-                .map_err(|e| DeError::new(format!("EmbeddingCache: bad key `{key}`: {e}")))?;
-            let bit_rows: Vec<Vec<u32>> = Deserialize::from_value(val)?;
-            cache
-                .entries
-                .insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
-        }
-        Ok(cache)
-    }
-}
-
 impl EmbeddingCache {
-    /// Per-entry lossy variant of the [`Deserialize`] impl: entries that
-    /// fail to decode (bad key, malformed bit rows) are skipped and
-    /// described in the returned error list while every valid entry
-    /// still loads. A value without the `entries` object salvages
-    /// nothing — one error, empty cache. Used by degraded warm starts
-    /// (`ArtifactStore::load_lossy`), where a missing embedding is just
-    /// a future cache miss, never a correctness problem.
-    pub fn from_value_lossy(v: &Value) -> (EmbeddingCache, Vec<String>) {
-        let mut cache = EmbeddingCache::new();
-        let mut errors = Vec::new();
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            errors.push("EmbeddingCache: missing `entries` object".to_string());
-            return (cache, errors);
+    pub fn to_value(&self) -> Value {
+        let entries = keyed::encode(&self.entries, |e| e.to_bit_rows().to_value());
+        Value::Obj(vec![("entries".to_string(), entries)])
+    }
+
+    /// Inverse of [`EmbeddingCache::to_value`]: entries that fail to
+    /// decode (bad key, malformed bit rows) are skipped and described
+    /// while every valid entry still loads. A missing embedding is just a
+    /// future cache miss, never a correctness problem.
+    pub fn decode(v: &Value) -> (EmbeddingCache, Vec<String>) {
+        let (entries, errors) = keyed::decode(v.get("entries"), |_, val| {
+            let bit_rows = Vec::<Vec<u32>>::from_value(val)?;
+            Ok(NormalizedEmbedding::from_bit_rows(&bit_rows))
+        });
+        let cache = EmbeddingCache {
+            entries,
+            ..EmbeddingCache::default()
         };
-        for (key, val) in entries {
-            let k = match u64::from_str_radix(key, 16) {
-                Ok(k) => k,
-                Err(e) => {
-                    errors.push(format!("EmbeddingCache: bad key `{key}`: {e}"));
-                    continue;
-                }
-            };
-            let bit_rows: Vec<Vec<u32>> = match Deserialize::from_value(val) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    errors.push(format!("EmbeddingCache: entry `{key}`: {}", e.0));
-                    continue;
-                }
-            };
-            cache
-                .entries
-                .insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
-        }
         (cache, errors)
     }
 }
@@ -647,23 +601,14 @@ impl Mapper {
 
     fn assemble(index: MapperIndex, strategy: Strategy) -> Mapper {
         let shards = leaf_shards(index.leaves.len());
-        let mut mapper = Mapper {
+        Mapper {
             index: Arc::new(index),
             shards,
             strategy,
             weights: None,
             retrieval: crate::retrieval::RetrievalMode::Exact,
             sublinear: None,
-        };
-        // `NASSIM_RETRIEVAL=exact|quantized|ann[:probes]` overrides the
-        // default mode for every new mapper (unset → Exact, so tier-1
-        // behaviour is untouched). Invalid values are ignored: retrieval
-        // modes only change latency, never correctness, so a typo must
-        // not take the exact path down.
-        if let Some(mode) = crate::retrieval::RetrievalMode::from_env() {
-            mapper.set_retrieval_mode(mode);
         }
-        mapper
     }
 
     /// How many shards the DL scan is partitioned into (1 = serial scan).
@@ -1410,8 +1355,10 @@ mod tests {
         let mut cache = EmbeddingCache::new();
         Mapper::dl_cached(&udm, Arc::new(HashEmbedder), "hash", &mut cache);
         let value = cache.to_value();
-        let mut restored = EmbeddingCache::from_value(&value).unwrap();
+        let (mut restored, errors) = EmbeddingCache::decode(&value);
+        assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(restored.len(), cache.len());
+        assert_eq!(restored.to_value(), value);
         // A build against the restored cache is all hits and bit-equal.
         let a = Mapper::dl_cached(&udm, Arc::new(HashEmbedder), "hash", &mut restored);
         assert_eq!(restored.misses, 0);

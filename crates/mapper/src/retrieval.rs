@@ -38,7 +38,7 @@
 //! mixed row counts/widths) keep the mode at `Exact`.
 
 use crate::models::{context_similarity_normalized, Mapper, NormalizedEmbedding};
-use nassim_corpus::Fnv1a;
+use nassim_corpus::{keyed, Fnv1a};
 use nassim_nlp::quant::{QuantizedQuery, Quantizer};
 use nassim_nlp::topk::TopK;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -85,8 +85,8 @@ pub enum RetrievalMode {
 
 impl RetrievalMode {
     /// Parse a user-facing mode string: `exact`, `quantized`, `ann` or
-    /// `ann:<probes>`. Anything else is `None` — callers decide whether
-    /// that is a typed error (serve) or ignored (env override).
+    /// `ann:<probes>`. Anything else is `None` (the serve protocol
+    /// answers it with a typed `malformed` error).
     pub fn parse(s: &str) -> Option<RetrievalMode> {
         match s {
             "exact" => Some(RetrievalMode::Exact),
@@ -97,13 +97,6 @@ impl RetrievalMode {
                 Some(RetrievalMode::Ann { probes })
             }
         }
-    }
-
-    /// The `NASSIM_RETRIEVAL` override, if set and valid.
-    pub fn from_env() -> Option<RetrievalMode> {
-        std::env::var("NASSIM_RETRIEVAL")
-            .ok()
-            .and_then(|s| RetrievalMode::parse(&s))
     }
 
     /// Canonical mode name (probe counts elided).
@@ -515,76 +508,35 @@ impl AnnCache {
     }
 }
 
-/// Persistence form (artifact store `ann` section): hex keys, each index
-/// flattened to numbers — scales and centroids as IEEE-754 bit patterns
-/// (lossless), codes as small ints. Hit/miss counters are session
-/// statistics and reset on load, as does `build_ms`.
-impl Serialize for AnnCache {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .entries
-            .iter()
-            .map(|(k, idx)| (format!("{k:016x}"), index_to_value(idx)))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(vec![("entries".to_string(), Value::Obj(entries))])
+/// Persistence form (artifact store `ann` section): [`keyed`] keys, each
+/// index flattened to numbers — scales and centroids as IEEE-754 bit
+/// patterns (lossless), codes as small ints. Hit/miss counters are
+/// session statistics and reset on load, as does `build_ms`.
+impl AnnCache {
+    pub fn to_value(&self) -> Value {
+        let entries = keyed::encode(&self.entries, index_to_value);
+        Value::Obj(vec![("entries".to_string(), entries)])
     }
-}
 
-impl Deserialize for AnnCache {
-    fn from_value(v: &Value) -> Result<AnnCache, DeError> {
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            return Err(DeError::new("AnnCache: missing `entries` object"));
-        };
-        let mut cache = AnnCache::new();
-        for (key, val) in entries {
-            let k = u64::from_str_radix(key, 16)
-                .map_err(|e| DeError::new(format!("AnnCache: bad key `{key}`: {e}")))?;
-            let idx = index_from_value(val)
-                .map_err(|e| DeError::new(format!("AnnCache: entry `{key}`: {}", e.0)))?;
+    /// Inverse of [`AnnCache::to_value`]: undecodable entries, and ones
+    /// whose corpus hash is not their key, are skipped and described
+    /// while the valid ones load — a missing index is just a rebuild,
+    /// never a correctness problem.
+    pub fn decode(v: &Value) -> (AnnCache, Vec<String>) {
+        let (entries, errors) = keyed::decode(v.get("entries"), |k, val| {
+            let idx = index_from_value(val)?;
             if idx.corpus_hash != k {
                 return Err(DeError::new(format!(
-                    "AnnCache: entry `{key}` carries corpus hash {:016x}",
+                    "carries corpus hash {:016x}",
                     idx.corpus_hash
                 )));
             }
-            cache.entries.insert(k, Arc::new(idx));
-        }
-        Ok(cache)
-    }
-}
-
-impl AnnCache {
-    /// Per-entry lossy variant of [`Deserialize`]: undecodable or
-    /// hash-mismatched entries are skipped and described while the valid
-    /// ones load — a missing index is just a rebuild, never a correctness
-    /// problem.
-    pub fn from_value_lossy(v: &Value) -> (AnnCache, Vec<String>) {
-        let mut cache = AnnCache::new();
-        let mut errors = Vec::new();
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            errors.push("AnnCache: missing `entries` object".to_string());
-            return (cache, errors);
+            Ok(idx)
+        });
+        let cache = AnnCache {
+            entries,
+            ..AnnCache::default()
         };
-        for (key, val) in entries {
-            let k = match u64::from_str_radix(key, 16) {
-                Ok(k) => k,
-                Err(e) => {
-                    errors.push(format!("AnnCache: bad key `{key}`: {e}"));
-                    continue;
-                }
-            };
-            match index_from_value(val) {
-                Ok(idx) if idx.corpus_hash == k => {
-                    cache.entries.insert(k, Arc::new(idx));
-                }
-                Ok(idx) => errors.push(format!(
-                    "AnnCache: entry `{key}` carries corpus hash {:016x}",
-                    idx.corpus_hash
-                )),
-                Err(e) => errors.push(format!("AnnCache: entry `{key}`: {}", e.0)),
-            }
-        }
         (cache, errors)
     }
 }
@@ -870,10 +822,12 @@ mod tests {
         m2.set_retrieval_mode_cached(RetrievalMode::Ann { probes: 2 }, &mut cache);
         assert_eq!(cache.hits, 1);
         // Serde round trip preserves answers exactly.
-        let restored = AnnCache::from_value(&cache.to_value()).unwrap();
+        let value = cache.to_value();
+        let (mut restored, errors) = AnnCache::decode(&value);
+        assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(restored.len(), 1);
+        assert_eq!(restored.to_value(), value);
         let mut m3 = Mapper::dl(&udm, Arc::new(HashEmbedder));
-        let mut restored = restored;
         m3.set_retrieval_mode_cached(RetrievalMode::Ann { probes: 2 }, &mut restored);
         assert_eq!(restored.misses, 0);
         let q = query("attribute 17 of family 3");
@@ -900,10 +854,10 @@ mod tests {
                 entries.push(("zzzz".to_string(), Value::Str("junk".to_string())));
             }
         }
-        assert!(AnnCache::from_value(&v).is_err());
-        let (salvaged, errors) = AnnCache::from_value_lossy(&v);
+        let (salvaged, errors) = AnnCache::decode(&v);
         assert_eq!(salvaged.len(), 1);
-        assert_eq!(errors.len(), 1);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("`zzzz`"), "{}", errors[0]);
     }
 
     #[test]

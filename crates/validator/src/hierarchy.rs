@@ -21,11 +21,11 @@
 //! authoritative votes.
 
 use nassim_cgm::{is_tokens_match, CliGraph};
-use nassim_corpus::Fnv1a;
+use nassim_corpus::{keyed, Fnv1a};
 use nassim_parser::ParsedPage;
 use nassim_syntax::parse_template;
 use nassim_syntax::template::CliStruc;
-use serde::{DeError, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -249,84 +249,32 @@ impl GraphCache {
     }
 
     /// Serialize for the artifact store: each entry is its CLI template
-    /// list under a fixed-width hex key, sorted for stable bytes. The
-    /// compiled graphs themselves are never encoded — loads recompile
-    /// them ([`compile_graphs`]), which is cheap and cannot drift.
-    /// Hit/miss counters are deliberately not persisted.
+    /// list under its [`keyed`] key. The compiled graphs themselves are
+    /// never encoded — loads recompile them ([`compile_graphs`]), which
+    /// is cheap and cannot drift. Hit/miss counters are deliberately not
+    /// persisted.
     pub fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .entries
-            .iter()
-            .map(|(k, v)| {
-                (
-                    format!("{k:016x}"),
-                    Value::Arr(v.clis.iter().map(|c| Value::Str(c.clone())).collect()),
-                )
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(vec![("entries".to_string(), Value::Obj(entries))])
+        let entries = keyed::encode(&self.entries, |g| g.clis.to_value());
+        Value::Obj(vec![("entries".to_string(), entries)])
     }
 
-    fn entry_from_value(key: &str, val: &Value) -> Result<(u64, PageGraphs), DeError> {
-        let k = u64::from_str_radix(key, 16)
-            .map_err(|e| DeError::new(format!("graph key `{key}` is not hex: {e}")))?;
-        let Value::Arr(items) = val else {
-            return Err(DeError::new(format!(
-                "graph entry `{key}` is not a CLI list"
-            )));
-        };
-        let mut clis = Vec::with_capacity(items.len());
-        for item in items {
-            let Value::Str(cli) = item else {
-                return Err(DeError::new(format!(
-                    "graph entry `{key}` holds a non-string CLI"
-                )));
-            };
-            clis.push(cli.clone());
-        }
-        // The key must be the FNV of the stored CLI list: a swapped or
-        // altered entry is detected here even when the section checksum
-        // was forged along with it.
-        if graph_key_of(&clis) != k {
-            return Err(DeError::new(format!(
-                "graph entry `{key}` does not hash to its key"
-            )));
-        }
-        Ok((k, compile_graphs(&clis)))
-    }
-
-    /// Strict inverse of [`GraphCache::to_value`]: any malformed entry
-    /// fails the whole load.
-    pub fn from_value(v: &Value) -> Result<GraphCache, DeError> {
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            return Err(DeError::new("missing graph `entries` object".to_string()));
-        };
-        let mut cache = GraphCache::new();
-        for (key, val) in entries {
-            let (k, graphs) = GraphCache::entry_from_value(key, val)?;
-            cache.entries.insert(k, Arc::new(graphs));
-        }
-        Ok(cache)
-    }
-
-    /// Per-entry lossy inverse: malformed entries are skipped and
-    /// reported; every valid entry still loads.
-    pub fn from_value_lossy(v: &Value) -> (GraphCache, Vec<String>) {
-        let mut errors = Vec::new();
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            errors.push("missing graph `entries` object".to_string());
-            return (GraphCache::new(), errors);
-        };
-        let mut cache = GraphCache::new();
-        for (key, val) in entries {
-            match GraphCache::entry_from_value(key, val) {
-                Ok((k, graphs)) => {
-                    cache.entries.insert(k, Arc::new(graphs));
-                }
-                Err(e) => errors.push(e.0),
+    /// Inverse of [`GraphCache::to_value`]: every valid entry loads, and
+    /// every malformed one is skipped and described.
+    pub fn decode(v: &Value) -> (GraphCache, Vec<String>) {
+        let (entries, errors) = keyed::decode(v.get("entries"), |k, val| {
+            let clis = Vec::<String>::from_value(val)?;
+            // The key must be the FNV of the stored CLI list: a swapped
+            // or altered entry is detected here even when the section
+            // checksum was forged along with it.
+            if graph_key_of(&clis) != k {
+                return Err(DeError::new("CLI list does not hash to its key"));
             }
-        }
+            Ok(compile_graphs(&clis))
+        });
+        let cache = GraphCache {
+            entries,
+            ..GraphCache::default()
+        };
         (cache, errors)
     }
 }
@@ -680,64 +628,24 @@ impl EvidenceCache {
         self.entries.is_empty()
     }
 
-    /// Serialize for the artifact store: fixed-width hex keys, sorted
-    /// for stable bytes. Keys embed the whole-corpus template
-    /// fingerprint (see `evidence_key`), so reloaded evidence can
-    /// only ever hit against a bit-identical template index. Hit/miss
-    /// counters are deliberately not persisted.
+    /// Serialize for the artifact store under [`keyed`] keys. Keys embed
+    /// the whole-corpus template fingerprint (see `evidence_key`), so
+    /// reloaded evidence can only ever hit against a bit-identical
+    /// template index. Hit/miss counters are deliberately not persisted.
     pub fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .entries
-            .iter()
-            .map(|(k, v)| (format!("{k:016x}"), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(vec![("entries".to_string(), Value::Obj(entries))])
+        let entries = keyed::encode(&self.entries, PageEvidence::to_value);
+        Value::Obj(vec![("entries".to_string(), entries)])
     }
 
-    /// Strict inverse of [`EvidenceCache::to_value`]: any malformed
-    /// entry fails the whole load.
-    pub fn from_value(v: &Value) -> Result<EvidenceCache, DeError> {
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            return Err(DeError::new(
-                "missing evidence `entries` object".to_string(),
-            ));
+    /// Inverse of [`EvidenceCache::to_value`]: every valid entry loads,
+    /// and every malformed one is skipped and described.
+    pub fn decode(v: &Value) -> (EvidenceCache, Vec<String>) {
+        let (entries, errors) =
+            keyed::decode(v.get("entries"), |_, val| PageEvidence::from_value(val));
+        let cache = EvidenceCache {
+            entries,
+            ..EvidenceCache::default()
         };
-        let mut cache = EvidenceCache::new();
-        for (key, val) in entries {
-            let k = u64::from_str_radix(key, 16)
-                .map_err(|e| DeError::new(format!("evidence key `{key}` is not hex: {e}")))?;
-            let ev = PageEvidence::from_value(val)
-                .map_err(|e| DeError::new(format!("evidence entry `{key}`: {}", e.0)))?;
-            cache.entries.insert(k, Arc::new(ev));
-        }
-        Ok(cache)
-    }
-
-    /// Per-entry lossy inverse: malformed entries are skipped and
-    /// reported; every valid entry still loads.
-    pub fn from_value_lossy(v: &Value) -> (EvidenceCache, Vec<String>) {
-        let mut errors = Vec::new();
-        let Some(Value::Obj(entries)) = v.get("entries") else {
-            errors.push("missing evidence `entries` object".to_string());
-            return (EvidenceCache::new(), errors);
-        };
-        let mut cache = EvidenceCache::new();
-        for (key, val) in entries {
-            let k = match u64::from_str_radix(key, 16) {
-                Ok(k) => k,
-                Err(e) => {
-                    errors.push(format!("evidence key `{key}` is not hex: {e}"));
-                    continue;
-                }
-            };
-            match PageEvidence::from_value(val) {
-                Ok(ev) => {
-                    cache.entries.insert(k, Arc::new(ev));
-                }
-                Err(e) => errors.push(format!("evidence entry `{key}`: {}", e.0)),
-            }
-        }
         (cache, errors)
     }
 }
