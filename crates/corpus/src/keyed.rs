@@ -16,14 +16,12 @@ use std::sync::Arc;
 /// `map` as a JSON object with sorted `{k:016x}` keys, each value
 /// written by `entry`.
 pub fn encode<T>(map: &HashMap<u64, Arc<T>>, entry: impl Fn(&T) -> Value) -> Value {
-    let mut keyed: Vec<(&u64, &Arc<T>)> = map.iter().collect();
-    keyed.sort_unstable_by_key(|(k, _)| **k);
-    Value::Obj(
-        keyed
-            .into_iter()
-            .map(|(k, v)| (format!("{k:016x}"), entry(v)))
-            .collect(),
-    )
+    let mut entries: Vec<(String, Value)> = map
+        .iter()
+        .map(|(k, v)| (format!("{k:016x}"), entry(v)))
+        .collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    Value::Obj(entries)
 }
 
 /// Inverse of [`encode`]: every entry whose key is hex and whose value
