@@ -99,8 +99,8 @@ impl<'a> Node<'a> {
 
 /// Tags that never have children.
 const VOID_ELEMENTS: &[&str] = &[
-    "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta",
-    "param", "source", "track", "wbr",
+    "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param", "source",
+    "track", "wbr",
 ];
 
 /// Returns the set of open tags that a start tag of `name` implicitly
@@ -404,8 +404,8 @@ impl<'a> Document<'a> {
     /// builder's depth guard — costs no memory here.
     fn collect_text_blocks(&self, id: NodeId, out: &mut String) {
         const BLOCK: &[&str] = &[
-            "p", "div", "li", "tr", "br", "pre", "h1", "h2", "h3", "h4", "h5",
-            "table", "ul", "ol", "dt", "dd", "section",
+            "p", "div", "li", "tr", "br", "pre", "h1", "h2", "h3", "h4", "h5", "table", "ul", "ol",
+            "dt", "dd", "section",
         ];
         let is_block = |n: NodeId| self.is_element_in(n, BLOCK);
         let mut cur = id;
@@ -663,8 +663,8 @@ mod tests {
             max_bytes: 8,
             ..IngestBudget::default()
         };
-        let err = Document::parse_budgeted("<p>hello world</p>", &budget)
-            .expect_err("over byte cap");
+        let err =
+            Document::parse_budgeted("<p>hello world</p>", &budget).expect_err("over byte cap");
         assert_eq!(err.resource, BudgetResource::Bytes);
         assert_eq!(err.cap, 8);
     }
@@ -686,8 +686,8 @@ mod tests {
             max_tokens: 3,
             ..IngestBudget::default()
         };
-        let err = Document::parse_budgeted("<p>a</p><p>b</p>", &budget)
-            .expect_err("over token cap");
+        let err =
+            Document::parse_budgeted("<p>a</p><p>b</p>", &budget).expect_err("over token cap");
         assert_eq!(err.resource, BudgetResource::Tokens);
     }
 
@@ -748,10 +748,9 @@ mod tests {
         input.push_str("leaf");
         let (doc, defects) = Document::parse_with_report(&input);
         assert_eq!(doc.len(), 1 + depth + 1);
-        assert!(defects.iter().any(|d| matches!(
-            d.kind,
-            MarkupDefectKind::NestingTooDeep { .. }
-        )));
+        assert!(defects
+            .iter()
+            .any(|d| matches!(d.kind, MarkupDefectKind::NestingTooDeep { .. })));
         // Text collection over the flattened tree must not recurse
         // off the stack either.
         let text = doc.text_of(doc.root());

@@ -46,14 +46,17 @@ impl Selector {
 
     /// Require attribute `name` to be present.
     pub fn attr(mut self, name: &str) -> Selector {
-        self.attrs.push(AttrPred::Present(name.to_ascii_lowercase()));
+        self.attrs
+            .push(AttrPred::Present(name.to_ascii_lowercase()));
         self
     }
 
     /// Require attribute `name` to equal `value`.
     pub fn attr_eq(mut self, name: &str, value: &str) -> Selector {
-        self.attrs
-            .push(AttrPred::Equals(name.to_ascii_lowercase(), value.to_string()));
+        self.attrs.push(AttrPred::Equals(
+            name.to_ascii_lowercase(),
+            value.to_string(),
+        ));
         self
     }
 
@@ -69,9 +72,7 @@ impl Selector {
         let mut sel = Selector::default();
         let mut rest = input.trim();
         // Tag name: leading run up to '.', '[' or end.
-        let tag_end = rest
-            .find(['.', '['])
-            .unwrap_or(rest.len());
+        let tag_end = rest.find(['.', '[']).unwrap_or(rest.len());
         if tag_end > 0 {
             sel.tag = Some(rest[..tag_end].to_ascii_lowercase());
         }
@@ -221,7 +222,8 @@ mod tests {
 
     #[test]
     fn select_under_scopes_search() {
-        let doc = Document::parse("<div id=a><p class=x>1</p></div><div id=b><p class=x>2</p></div>");
+        let doc =
+            Document::parse("<div id=a><p class=x>1</p></div><div id=b><p class=x>2</p></div>");
         let sel = Selector::parse("div");
         let divs: Vec<_> = doc.select(&sel).collect();
         let inner = Selector::parse("p.x");

@@ -442,10 +442,7 @@ fn parse_attr_value<'a>(
         }
         _ => {
             let mut i = start;
-            while i < bytes.len()
-                && !bytes[i].is_ascii_whitespace()
-                && bytes[i] != b'>'
-            {
+            while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'>' {
                 i += 1;
             }
             (&input[start..i], i)
@@ -496,7 +493,12 @@ mod tests {
             t,
             vec![start(
                 "div",
-                &[("class", "a b"), ("id", "main"), ("hidden", ""), ("data-x", "y")]
+                &[
+                    ("class", "a b"),
+                    ("id", "main"),
+                    ("hidden", ""),
+                    ("data-x", "y")
+                ]
             )]
         );
     }
@@ -513,7 +515,10 @@ mod tests {
         let t = toks("<DIV CLASS=x></DIV>");
         assert_eq!(
             t,
-            vec![start("div", &[("class", "x")]), Token::EndTag { name: "div".into() }]
+            vec![
+                start("div", &[("class", "x")]),
+                Token::EndTag { name: "div".into() }
+            ]
         );
     }
 
@@ -547,7 +552,12 @@ mod tests {
     fn script_content_is_raw_text() {
         let t = toks("<script>if (a<b && c>d) { x(); }</script><p>after</p>");
         assert_eq!(t[1], Token::Text("if (a<b && c>d) { x(); }".into()));
-        assert_eq!(t[2], Token::EndTag { name: "script".into() });
+        assert_eq!(
+            t[2],
+            Token::EndTag {
+                name: "script".into()
+            }
+        );
         assert_eq!(t[3], start("p", &[]));
     }
 
@@ -555,7 +565,12 @@ mod tests {
     fn raw_text_close_tag_is_case_insensitive() {
         let t = toks("<script>x<y</SCRIPT><p>after</p>");
         assert_eq!(t[1], Token::Text("x<y".into()));
-        assert_eq!(t[2], Token::EndTag { name: "script".into() });
+        assert_eq!(
+            t[2],
+            Token::EndTag {
+                name: "script".into()
+            }
+        );
         // Many raw-text elements on one page stay linear (no per-element
         // copy of the rest of the input); spot-check correctness.
         let many: String = (0..50).map(|i| format!("<script>s{i}</script>")).collect();

@@ -116,9 +116,10 @@ pub fn example_snippets(doc: &Document, nodes: &[NodeId]) -> Vec<Vec<String>> {
         if doc.element(n).map(|e| e.name == "pre").unwrap_or(false) {
             pres.push(n);
         }
-        pres.extend(doc.descendants(n).filter(|&id| {
-            doc.element(id).map(|e| e.name == "pre").unwrap_or(false)
-        }));
+        pres.extend(
+            doc.descendants(n)
+                .filter(|&id| doc.element(id).map(|e| e.name == "pre").unwrap_or(false)),
+        );
         for pre in pres {
             let lines = doc.text_lines(pre);
             if !lines.is_empty() {
@@ -212,7 +213,10 @@ mod tests {
         let snippets = example_snippets(&doc, &[pre]);
         assert_eq!(
             snippets,
-            vec![vec!["bgp 100".to_string(), " peer 10.1.1.1 group test".to_string()]]
+            vec![vec![
+                "bgp 100".to_string(),
+                " peer 10.1.1.1 group test".to_string()
+            ]]
         );
     }
 }

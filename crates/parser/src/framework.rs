@@ -267,7 +267,8 @@ pub struct PageRecord {
 pub fn page_key(vendor: &str, url: &str, html: &str, budget: &IngestBudget) -> u64 {
     let mut h = Fnv1a::new();
     h.write_field(vendor).write_field(url);
-    h.write_usize(html.len()).write_u64(digest64(html.as_bytes()));
+    h.write_usize(html.len())
+        .write_u64(digest64(html.as_bytes()));
     h.write_usize(budget.max_bytes)
         .write_usize(budget.max_tokens)
         .write_usize(budget.max_nodes)
@@ -564,7 +565,12 @@ mod tests {
 
     #[test]
     fn healthy_parser_passes() {
-        let run = run_parser(&ToyParser { break_paradef: false }, pages());
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages(),
+        );
         assert_eq!(run.report.parsed, 1);
         assert_eq!(run.report.skipped, 1);
         assert_eq!(run.report.failed, 0);
@@ -574,7 +580,12 @@ mod tests {
 
     #[test]
     fn broken_parser_is_reported() {
-        let run = run_parser(&ToyParser { break_paradef: true }, pages());
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: true,
+            },
+            pages(),
+        );
         assert!(!run.report.passes());
         assert_eq!(run.report.corpus_status.len(), 1);
         let text = run.report.to_string();
@@ -586,7 +597,12 @@ mod tests {
     fn rejected_page_degrades_to_diagnostic() {
         let mut pages = pages();
         pages.push(("manual://toy/bad", "<p>garbage</p>"));
-        let run = run_parser(&ToyParser { break_paradef: false }, pages);
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages,
+        );
         // The other pages still parse; the bad one is a failure + finding.
         assert_eq!(run.report.parsed, 1);
         assert_eq!(run.report.failed, 1);
@@ -599,7 +615,12 @@ mod tests {
     #[test]
     fn damaged_markup_on_parsed_page_is_warning_with_span() {
         let pages = vec![("manual://toy/vlan", "<p>page <b class=\"x")];
-        let run = run_parser(&ToyParser { break_paradef: false }, pages);
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages,
+        );
         assert_eq!(run.report.parsed, 1);
         let html_diags: Vec<_> = run
             .diagnostics
@@ -607,17 +628,23 @@ mod tests {
             .filter(|d| d.stage == Stage::Html)
             .collect();
         assert!(!html_diags.is_empty());
-        assert!(html_diags
-            .iter()
-            .all(|d| d.severity == Severity::Warning));
-        let span = html_diags[0].span.as_ref().expect("markup diags carry spans");
+        assert!(html_diags.iter().all(|d| d.severity == Severity::Warning));
+        let span = html_diags[0]
+            .span
+            .as_ref()
+            .expect("markup diags carry spans");
         assert_eq!(span.source, "manual://toy/vlan");
     }
 
     #[test]
     fn skipped_page_with_damaged_markup_counts_failed() {
         let pages = vec![("manual://toy/preface", "<div>preface <!-- cut")];
-        let run = run_parser(&ToyParser { break_paradef: false }, pages);
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages,
+        );
         assert_eq!(run.report.skipped, 0);
         assert_eq!(run.report.failed, 1);
         assert!(run
@@ -628,7 +655,12 @@ mod tests {
 
     #[test]
     fn skipped_pages_are_recorded_by_url() {
-        let run = run_parser(&ToyParser { break_paradef: false }, pages());
+        let run = run_parser(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages(),
+        );
         assert_eq!(run.report.skipped, 1);
         assert_eq!(run.report.skipped_pages, vec!["manual://toy/preface"]);
     }
@@ -643,7 +675,10 @@ mod tests {
         fn parse_doc(&self, url: &str, doc: &Document) -> Result<Option<ParsedPage>, NassimError> {
             let text = doc.text_of(doc.root());
             assert!(!text.contains("landmine"), "stepped on a landmine");
-            ToyParser { break_paradef: false }.parse_doc(url, doc)
+            ToyParser {
+                break_paradef: false,
+            }
+            .parse_doc(url, doc)
         }
     }
 
@@ -670,8 +705,7 @@ mod tests {
             d.stage == Stage::Parse
                 && d.severity == Severity::Error
                 && d.message.contains("panicked")
-                && d.span.as_ref().map(|s| s.source.as_str())
-                    == Some("manual://panicky/boom")
+                && d.span.as_ref().map(|s| s.source.as_str()) == Some("manual://panicky/boom")
         }));
     }
 
@@ -685,7 +719,13 @@ mod tests {
             ("manual://toy/small", "<p>page</p>"),
             ("manual://toy/big", "<p>a</p><p>b</p><p>c</p><p>page</p>"),
         ];
-        let run = run_parser_with(&ToyParser { break_paradef: false }, pages, &budget);
+        let run = run_parser_with(
+            &ToyParser {
+                break_paradef: false,
+            },
+            pages,
+            &budget,
+        );
         assert_eq!(run.report.parsed, 1);
         assert_eq!(run.report.quarantined, 1);
         assert_eq!(run.quarantined[0].url, "manual://toy/big");

@@ -43,8 +43,8 @@ pub mod norsk;
 
 pub use framework::{
     ensure_parsable, fold_page_records, page_key, page_record, page_records, run_parser,
-    run_parser_with, DefectRecord, PageDisposition, PageRecord, ParseRun, ParsedPage, Quarantined,
-    QuarantineReason, TddReport, VendorParser,
+    run_parser_with, DefectRecord, PageDisposition, PageRecord, ParseRun, ParsedPage,
+    QuarantineReason, Quarantined, TddReport, VendorParser,
 };
 
 /// Vendor names a parser is registered for.

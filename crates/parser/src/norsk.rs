@@ -38,9 +38,7 @@ impl ParserNorsk {
     }
 
     fn is_any_header(doc: &Document, id: NodeId) -> bool {
-        doc.element(id)
-            .map(|e| e.name == "h3")
-            .unwrap_or(false)
+        doc.element(id).map(|e| e.name == "h3").unwrap_or(false)
     }
 
     fn section(&self, doc: &Document, header_class: &str) -> Vec<NodeId> {
@@ -122,9 +120,7 @@ impl VendorParser for ParserNorsk {
                     if let Some((name, _)) = labelled_definition(doc, dt, &params) {
                         let desc = doc
                             .following_siblings(dt)
-                            .find(|&id| {
-                                doc.element(id).map(|e| e.name == "dd").unwrap_or(false)
-                            })
+                            .find(|&id| doc.element(id).map(|e| e.name == "dd").unwrap_or(false))
                             .map(|dd| doc.text_of(dd))
                             .unwrap_or_default();
                         defs.push(ParaDef::new(name, desc));
@@ -189,7 +185,10 @@ mod tests {
                 "configure BGP-IPv4 unicast".to_string(),
             ]
         );
-        assert_eq!(parsed.entry.parent_views, vec!["configure BGP-IPv4 unicast"]);
+        assert_eq!(
+            parsed.entry.parent_views,
+            vec!["configure BGP-IPv4 unicast"]
+        );
         assert!(parsed.entry.examples.is_empty());
         Ok(())
     }
