@@ -1,60 +1,65 @@
 //! Arena-based DOM tree built from the token stream, borrowing the page.
 //!
-//! Nodes live in a flat `Vec` and reference each other by [`NodeId`], the
-//! usual Rust idiom for parent/child/sibling graphs without `Rc` cycles.
-//! Each node stores its parent, first-child, last-child and next-sibling
-//! links, so appending a child is O(1) and [`Document::children`],
-//! [`Document::following_siblings`] and [`Document::text_lines`] walk the
-//! links without allocating. Nodes are appended in document order, so a
-//! subtree is a contiguous id range: [`Document::descendants`] and
-//! [`Document::text_of`] find its end through the links and then scan
-//! the range.
+//! Nodes live in a flat `Vec` and reference each other by [`NodeId`], a
+//! `u32` index: the usual Rust idiom for parent/child/sibling graphs
+//! without `Rc` cycles. Each node stores its parent, first-child,
+//! last-child and next-sibling links as `u32`s, so appending a child is
+//! O(1) and [`Document::children`], [`Document::following_siblings`] and
+//! [`Document::text_lines`] walk the links without allocating. Nodes are
+//! appended in document order, so a subtree is a contiguous id range:
+//! [`Document::descendants`] and [`Document::text_of`] find its end
+//! through the links and then scan the range.
 //!
 //! A [`Document<'a>`] borrows the page it was parsed from: element names,
 //! attributes, text and comments are the tokenizer's [`Cow`] slices of
 //! the input (see [`crate::tokenizer`] for when one is owned), so the page
-//! must outlive its document.
+//! must outlive its document. The attributes of every element sit in one
+//! arena per document, which the tokenizer fills in place; an element
+//! keeps the range of its own, the index of its `class` attribute and
+//! whether that names a single class, so [`Document::has_class`] neither
+//! searches the attribute list nor, for most elements, splits the value.
 //!
 //! The tree-construction pass applies the implicit-close rules that matter
 //! for manual pages: `<p>`, `<li>`, `<tr>`, `<td>`, … close their open
 //! predecessor, void elements (`<br>`, `<img>`, …) never take children,
-//! and stray end tags are ignored.
+//! and stray end tags are ignored. Each element's name is resolved to a
+//! `Tag` once, so these rules and the block rendering of
+//! [`Document::text_lines`] test a bit of a set instead of comparing
+//! names.
 
 use crate::budget::{BudgetExhausted, BudgetResource, IngestBudget};
-use crate::tokenizer::{MarkupDefect, MarkupDefectKind, Token, Tokenizer};
+use crate::text::{CollapsedText, Gap};
+use crate::tokenizer::{Attrs, MarkupDefect, MarkupDefectKind, Token, Tokenizer};
 use std::borrow::Cow;
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) usize);
+pub struct NodeId(pub(crate) u32);
 
-/// An element node: tag name plus attributes.
+/// The link value meaning "no such node".
+const NONE: u32 = u32::MAX;
+
+/// The longest page a document addresses. Every node and every
+/// attribute costs at least one input byte, so within this length the
+/// `u32` ids never reach [`NONE`].
+const MAX_PAGE_BYTES: usize = u32::MAX as usize - 1;
+
+/// An element node: tag name plus the location of its attributes in the
+/// document's arena (read them with [`Document::attrs`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element<'a> {
     /// Lower-cased tag name.
     pub name: Cow<'a, str>,
-    /// Attributes in document order (names lower-cased, values decoded).
-    pub attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
-}
-
-impl Element<'_> {
-    /// Value of attribute `name`, if present.
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_ref())
-    }
-
-    /// The `class` attribute split on whitespace.
-    pub fn classes(&self) -> impl Iterator<Item = &str> {
-        self.attr("class").unwrap_or("").split_ascii_whitespace()
-    }
-
-    /// True if the element's class list contains `class`.
-    pub fn has_class(&self, class: &str) -> bool {
-        self.classes().any(|c| c == class)
-    }
+    tag: Tag,
+    /// The element's attributes are `attrs[first_attr..end_attr]` of its
+    /// document.
+    first_attr: u32,
+    end_attr: u32,
+    /// Index of the first `class` attribute in that arena, or [`NONE`].
+    class: u32,
+    /// The class attribute names exactly one class: it is non-empty and
+    /// has no whitespace, so its value is the whole class list.
+    one_class: bool,
 }
 
 /// Payload of a DOM node.
@@ -67,27 +72,18 @@ pub enum NodeKind<'a> {
     Comment(&'a str),
 }
 
-/// A node in the arena: payload plus tree links.
+/// A node in the arena: payload plus tree links (`u32::MAX` where
+/// absent).
 #[derive(Debug, Clone)]
 pub struct Node<'a> {
     pub kind: NodeKind<'a>,
-    parent: Option<NodeId>,
-    first_child: Option<NodeId>,
-    last_child: Option<NodeId>,
-    next_sibling: Option<NodeId>,
+    parent: u32,
+    first_child: u32,
+    last_child: u32,
+    next_sibling: u32,
 }
 
 impl<'a> Node<'a> {
-    fn new(kind: NodeKind<'a>, parent: Option<NodeId>) -> Node<'a> {
-        Node {
-            kind,
-            parent,
-            first_child: None,
-            last_child: None,
-            next_sibling: None,
-        }
-    }
-
     /// The element payload, if this node is an element.
     pub fn as_element(&self) -> Option<&Element<'a>> {
         match &self.kind {
@@ -97,32 +93,172 @@ impl<'a> Node<'a> {
     }
 }
 
-/// Tags that never have children.
-const VOID_ELEMENTS: &[&str] = &[
-    "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param", "source",
-    "track", "wbr",
-];
+/// `Some(id)` unless `link` is [`NONE`].
+fn link(link: u32) -> Option<NodeId> {
+    (link != NONE).then_some(NodeId(link))
+}
 
-/// Returns the set of open tags that a start tag of `name` implicitly
-/// closes (HTML's "a new <p> ends the previous <p>" family of rules).
-fn implicitly_closes(name: &str) -> &'static [&'static str] {
-    match name {
-        "p" => &["p"],
-        "li" => &["li"],
-        "dt" | "dd" => &["dt", "dd"],
-        "tr" => &["tr", "td", "th"],
-        "td" | "th" => &["td", "th"],
-        "option" => &["option"],
-        "thead" | "tbody" | "tfoot" => &["thead", "tbody", "tfoot", "tr", "td", "th"],
-        _ => &[],
+/// The tags the tree builder and the block renderer have rules for. An
+/// element's name is resolved once, when it is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Other,
+    P,
+    Li,
+    Dt,
+    Dd,
+    Tr,
+    Td,
+    Th,
+    Option,
+    Thead,
+    Tbody,
+    Tfoot,
+    Area,
+    Base,
+    Br,
+    Col,
+    Embed,
+    Hr,
+    Img,
+    Input,
+    Link,
+    Meta,
+    Param,
+    Source,
+    Track,
+    Wbr,
+    Div,
+    Pre,
+    H1,
+    H2,
+    H3,
+    H4,
+    H5,
+    Table,
+    Ul,
+    Ol,
+    Section,
+}
+
+impl Tag {
+    fn of(name: &str) -> Tag {
+        match name {
+            "p" => Tag::P,
+            "li" => Tag::Li,
+            "dt" => Tag::Dt,
+            "dd" => Tag::Dd,
+            "tr" => Tag::Tr,
+            "td" => Tag::Td,
+            "th" => Tag::Th,
+            "option" => Tag::Option,
+            "thead" => Tag::Thead,
+            "tbody" => Tag::Tbody,
+            "tfoot" => Tag::Tfoot,
+            "area" => Tag::Area,
+            "base" => Tag::Base,
+            "br" => Tag::Br,
+            "col" => Tag::Col,
+            "embed" => Tag::Embed,
+            "hr" => Tag::Hr,
+            "img" => Tag::Img,
+            "input" => Tag::Input,
+            "link" => Tag::Link,
+            "meta" => Tag::Meta,
+            "param" => Tag::Param,
+            "source" => Tag::Source,
+            "track" => Tag::Track,
+            "wbr" => Tag::Wbr,
+            "div" => Tag::Div,
+            "pre" => Tag::Pre,
+            "h1" => Tag::H1,
+            "h2" => Tag::H2,
+            "h3" => Tag::H3,
+            "h4" => Tag::H4,
+            "h5" => Tag::H5,
+            "table" => Tag::Table,
+            "ul" => Tag::Ul,
+            "ol" => Tag::Ol,
+            "section" => Tag::Section,
+            _ => Tag::Other,
+        }
+    }
+
+    const fn bit(self) -> u64 {
+        1 << self as u32
+    }
+
+    fn is_in(self, set: u64) -> bool {
+        set & self.bit() != 0
+    }
+
+    /// The open tags a start tag of this kind implicitly closes (HTML's
+    /// "a new <p> ends the previous <p>" family of rules).
+    fn closes(self) -> u64 {
+        const CELLS: u64 = Tag::Td.bit() | Tag::Th.bit();
+        const ROWS: u64 = Tag::Tr.bit() | CELLS;
+        match self {
+            Tag::P | Tag::Li | Tag::Option => self.bit(),
+            Tag::Dt | Tag::Dd => Tag::Dt.bit() | Tag::Dd.bit(),
+            Tag::Tr => ROWS,
+            Tag::Td | Tag::Th => CELLS,
+            Tag::Thead | Tag::Tbody | Tag::Tfoot => {
+                Tag::Thead.bit() | Tag::Tbody.bit() | Tag::Tfoot.bit() | ROWS
+            }
+            _ => 0,
+        }
     }
 }
 
-/// A parsed HTML document: node arena plus the synthetic root, borrowing
-/// the page it was parsed from.
+/// Tags that never have children.
+const VOID: u64 = Tag::Area.bit()
+    | Tag::Base.bit()
+    | Tag::Br.bit()
+    | Tag::Col.bit()
+    | Tag::Embed.bit()
+    | Tag::Hr.bit()
+    | Tag::Img.bit()
+    | Tag::Input.bit()
+    | Tag::Link.bit()
+    | Tag::Meta.bit()
+    | Tag::Param.bit()
+    | Tag::Source.bit()
+    | Tag::Track.bit()
+    | Tag::Wbr.bit();
+
+/// Tags that [`Document::text_lines`] renders on lines of their own.
+const BLOCK: u64 = Tag::P.bit()
+    | Tag::Div.bit()
+    | Tag::Li.bit()
+    | Tag::Tr.bit()
+    | Tag::Br.bit()
+    | Tag::Pre.bit()
+    | Tag::H1.bit()
+    | Tag::H2.bit()
+    | Tag::H3.bit()
+    | Tag::H4.bit()
+    | Tag::H5.bit()
+    | Tag::Table.bit()
+    | Tag::Ul.bit()
+    | Tag::Ol.bit()
+    | Tag::Dt.bit()
+    | Tag::Dd.bit()
+    | Tag::Section.bit();
+
+/// An element on the builder's open-element stack.
+struct Open {
+    id: u32,
+    /// Byte offset of its start tag, for the unclosed-element defect.
+    at: usize,
+    tag: Tag,
+}
+
+/// A parsed HTML document: node arena, attribute arena and the synthetic
+/// root, borrowing the page it was parsed from.
 #[derive(Debug, Clone)]
 pub struct Document<'a> {
     nodes: Vec<Node<'a>>,
+    attrs: Attrs<'a>,
 }
 
 impl<'a> Document<'a> {
@@ -137,16 +273,31 @@ impl<'a> Document<'a> {
     /// same one [`Document::parse`] builds — recovery behaviour is
     /// unchanged, only recorded.
     pub fn parse_with_report(input: &'a str) -> (Document<'a>, Vec<MarkupDefect>) {
-        // Unbounded ceilings make exhaustion unreachable; the fallback
-        // arm exists only to keep this seam infallible for callers.
+        // Unbounded ceilings make exhaustion unreachable below the
+        // arena's page-size limit; the fallback arm keeps this seam
+        // infallible for callers.
         Document::parse_budgeted(input, &IngestBudget::unbounded())
-            .unwrap_or_else(|_| (Document::empty(), Vec::new()))
+            .unwrap_or_else(|_| (Document::with_capacity(0, 0), Vec::new()))
     }
 
-    /// A document holding only the synthetic root.
-    fn empty() -> Document<'a> {
+    /// A document holding only the synthetic root, with room for the
+    /// nodes and attributes of a page of `page_len` bytes. Manual pages
+    /// run about 16 bytes per node and several times that per attribute;
+    /// the node reservation never exceeds the `max_nodes` the page may
+    /// build, so an untrusted page cannot reserve more than its budget.
+    fn with_capacity(page_len: usize, max_nodes: usize) -> Document<'a> {
+        let cap = max_nodes.saturating_add(1);
+        let mut nodes = Vec::with_capacity((page_len / 12 + 1).min(cap));
+        nodes.push(Node {
+            kind: NodeKind::Root,
+            parent: NONE,
+            first_child: NONE,
+            last_child: NONE,
+            next_sibling: NONE,
+        });
         Document {
-            nodes: vec![Node::new(NodeKind::Root, None)],
+            nodes,
+            attrs: Vec::with_capacity((page_len / 32).min(cap)),
         }
     }
 
@@ -159,41 +310,50 @@ impl<'a> Document<'a> {
     /// instead: the builder stops descending, deeper elements become
     /// siblings, and one [`MarkupDefectKind::NestingTooDeep`] defect is
     /// recorded, so depth bombs cannot grow the open-element stack —
-    /// or, later, recurse a consumer off the real stack.
+    /// or, later, recurse a consumer off the real stack. No budget
+    /// admits a page of 4 GiB or more, which `u32` ids cannot address.
     pub fn parse_budgeted(
         input: &'a str,
         budget: &IngestBudget,
     ) -> Result<(Document<'a>, Vec<MarkupDefect>), BudgetExhausted> {
+        let budget = IngestBudget {
+            max_bytes: budget.max_bytes.min(MAX_PAGE_BYTES),
+            ..*budget
+        };
         budget.check(BudgetResource::Bytes, input.len())?;
-        let mut doc = Document::empty();
-        let root = doc.root();
+        let mut doc = Document::with_capacity(input.len(), budget.max_nodes);
         // Each open element remembers the offset its start tag began at,
-        // so EOF-unclosed elements can be reported with a span.
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+        // so EOF-unclosed elements can be reported with a span. The root
+        // is never popped and never matches a tag rule.
+        let mut stack = vec![Open {
+            id: 0,
+            at: 0,
+            tag: Tag::Other,
+        }];
         let mut depth_defect_recorded = false;
         let mut tokens_consumed: usize = 0;
 
         let mut tokens = Tokenizer::new(input);
         loop {
             let at = tokens.pos();
-            let Some(token) = tokens.next() else { break };
+            // A start tag's attributes go straight into the arena.
+            let first_attr = doc.attrs.len();
+            let Some(token) = tokens.next_into(&mut doc.attrs) else {
+                break;
+            };
             tokens_consumed += 1;
             budget.check(BudgetResource::Tokens, tokens_consumed)?;
             budget.check(BudgetResource::Nodes, doc.nodes.len())?;
             match token {
                 Token::StartTag {
-                    name,
-                    attrs,
-                    self_closing,
+                    name, self_closing, ..
                 } => {
+                    let tag = Tag::of(&name);
                     // Apply implicit-close rules against the innermost
                     // matching open element.
-                    let closes = implicitly_closes(&name);
-                    if !closes.is_empty() {
-                        if let Some(pos) = stack
-                            .iter()
-                            .rposition(|&(id, _)| doc.is_element_in(id, closes))
-                        {
+                    let closes = tag.closes();
+                    if closes != 0 {
+                        if let Some(pos) = stack.iter().rposition(|open| open.tag.is_in(closes)) {
                             stack.truncate(pos.max(1));
                         }
                     }
@@ -210,19 +370,22 @@ impl<'a> Document<'a> {
                             at,
                         );
                     }
-                    let opens = !too_deep && !self_closing && !VOID_ELEMENTS.contains(&&*name);
-                    let parent = stack.last().map(|&(id, _)| id).unwrap_or(root);
-                    let id = doc.push(NodeKind::Element(Element { name, attrs }), parent);
+                    let opens = !too_deep && !self_closing && !tag.is_in(VOID);
+                    let element = doc.element_at(name, tag, first_attr);
+                    let id = doc.push(NodeKind::Element(element), top(&stack));
                     if opens {
-                        stack.push((id, at));
+                        stack.push(Open { id, at, tag });
                     }
                 }
                 Token::EndTag { name } => {
                     // Pop to the matching open tag; flag stray end tags.
-                    match stack
-                        .iter()
-                        .rposition(|&(id, _)| doc.is_element_in(id, &[&*name]))
-                    {
+                    let tag = Tag::of(&name);
+                    let matches = |open: &Open| {
+                        open.tag == tag
+                            && (tag != Tag::Other
+                                || doc.element(NodeId(open.id)).is_some_and(|e| e.name == name))
+                    };
+                    match stack.iter().rposition(matches) {
                         Some(pos) => stack.truncate(pos.max(1)),
                         None => tokens.record_defect(
                             MarkupDefectKind::StrayEndTag {
@@ -234,25 +397,23 @@ impl<'a> Document<'a> {
                 }
                 Token::Text(text) => {
                     if !text.is_empty() {
-                        let parent = stack.last().map(|&(id, _)| id).unwrap_or(root);
-                        doc.push(NodeKind::Text(text), parent);
+                        doc.push(NodeKind::Text(text), top(&stack));
                     }
                 }
                 Token::Comment(body) => {
-                    let parent = stack.last().map(|&(id, _)| id).unwrap_or(root);
-                    doc.push(NodeKind::Comment(body), parent);
+                    doc.push(NodeKind::Comment(body), top(&stack));
                 }
                 Token::Doctype(_) => {}
             }
         }
         // Elements still open at EOF were closed implicitly.
-        for &(id, at) in stack.iter().skip(1) {
-            if let Some(e) = doc.element(id) {
+        for open in stack.iter().skip(1) {
+            if let Some(e) = doc.element(NodeId(open.id)) {
                 tokens.record_defect(
                     MarkupDefectKind::UnclosedElement {
                         name: e.name.to_string(),
                     },
-                    at,
+                    open.at,
                 );
             }
         }
@@ -261,19 +422,41 @@ impl<'a> Document<'a> {
         Ok((doc, defects))
     }
 
-    /// True if `id` is an element named one of `names`.
-    fn is_element_in(&self, id: NodeId, names: &[&str]) -> bool {
-        self.element(id)
-            .is_some_and(|e| names.contains(&e.name.as_ref()))
+    /// An element named `name` whose attributes are the arena's entries
+    /// from `first_attr` on (the ones its start tag just added).
+    fn element_at(&self, name: Cow<'a, str>, tag: Tag, first_attr: usize) -> Element<'a> {
+        let class = self.attrs[first_attr..]
+            .iter()
+            .position(|(k, _)| k == "class")
+            .map(|i| first_attr + i);
+        let one_class = class.is_some_and(|i| {
+            let value = self.attrs[i].1.as_bytes();
+            !value.is_empty() && !value.iter().any(u8::is_ascii_whitespace)
+        });
+        Element {
+            name,
+            tag,
+            first_attr: first_attr as u32,
+            end_attr: self.attrs.len() as u32,
+            class: class.map_or(NONE, |i| i as u32),
+            one_class,
+        }
     }
 
     /// Append a node as the last child of `parent`.
-    fn push(&mut self, kind: NodeKind<'a>, parent: NodeId) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node::new(kind, Some(parent)));
-        match self.nodes[parent.0].last_child.replace(id) {
-            Some(prev) => self.nodes[prev.0].next_sibling = Some(id),
-            None => self.nodes[parent.0].first_child = Some(id),
+    fn push(&mut self, kind: NodeKind<'a>, parent: u32) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            kind,
+            parent,
+            first_child: NONE,
+            last_child: NONE,
+            next_sibling: NONE,
+        });
+        let parent = &mut self.nodes[parent as usize];
+        match std::mem::replace(&mut parent.last_child, id) {
+            NONE => parent.first_child = id,
+            prev => self.nodes[prev as usize].next_sibling = id,
         }
         id
     }
@@ -285,12 +468,57 @@ impl<'a> Document<'a> {
 
     /// Borrow a node by id.
     pub fn node(&self, id: NodeId) -> &Node<'a> {
-        &self.nodes[id.0]
+        &self.nodes[id.0 as usize]
     }
 
     /// The element payload of `id`, if it is an element.
     pub fn element(&self, id: NodeId) -> Option<&Element<'a>> {
         self.node(id).as_element()
+    }
+
+    /// The tag rules that apply to `id` (`Other` for non-elements).
+    fn tag(&self, id: NodeId) -> Tag {
+        self.element(id).map_or(Tag::Other, |e| e.tag)
+    }
+
+    /// Attributes of element `id` in document order (names lower-cased,
+    /// values decoded); empty for other nodes.
+    pub fn attrs(&self, id: NodeId) -> &[(Cow<'a, str>, Cow<'a, str>)] {
+        match self.element(id) {
+            Some(e) => &self.attrs[e.first_attr as usize..e.end_attr as usize],
+            None => &[],
+        }
+    }
+
+    /// Value of attribute `name` of element `id`, if present.
+    pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
+        self.attrs(id)
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_ref())
+    }
+
+    /// The `class` attribute of element `id` split on whitespace.
+    pub fn classes(&self, id: NodeId) -> std::str::SplitAsciiWhitespace<'_> {
+        self.class_attr(id).split_ascii_whitespace()
+    }
+
+    /// True if `id` is an element whose class list contains `class`.
+    /// Most elements carry a single class, which is one comparison.
+    pub fn has_class(&self, id: NodeId, class: &str) -> bool {
+        match self.element(id) {
+            Some(e) if e.one_class => self.attrs[e.class as usize].1 == class,
+            Some(_) => self.classes(id).any(|c| c == class),
+            None => false,
+        }
+    }
+
+    /// The value of `id`'s `class` attribute ("" when it has none).
+    fn class_attr(&self, id: NodeId) -> &str {
+        match self.element(id) {
+            Some(e) if e.class != NONE => &self.attrs[e.class as usize].1,
+            _ => "",
+        }
     }
 
     /// Number of nodes in the arena (including the root).
@@ -313,7 +541,7 @@ impl<'a> Document<'a> {
 
     /// Parent of `id` (None only for the root).
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        link(self.node(id).parent)
     }
 
     /// All descendants of `id` in document (pre-)order, excluding `id`.
@@ -329,16 +557,16 @@ impl<'a> Document<'a> {
     /// children only while it is open, so every subtree is a contiguous
     /// run of ids that ends where the next node outside it begins: the
     /// next sibling of `id` or of its nearest ancestor that has one.
-    fn subtree_end(&self, id: NodeId) -> usize {
+    fn subtree_end(&self, id: NodeId) -> u32 {
         let mut cur = self.node(id);
         loop {
-            if let Some(sibling) = cur.next_sibling {
-                return sibling.0;
+            if cur.next_sibling != NONE {
+                return cur.next_sibling;
             }
-            match cur.parent {
-                Some(parent) => cur = self.node(parent),
-                None => return self.nodes.len(),
+            if cur.parent == NONE {
+                return self.nodes.len() as u32;
             }
+            cur = &self.nodes[cur.parent as usize];
         }
     }
 
@@ -368,33 +596,69 @@ impl<'a> Document<'a> {
         self
     }
 
+    /// The text nodes of `id`'s subtree (`id` included), in order.
+    fn texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
+        self.nodes[id.0 as usize..self.subtree_end(id) as usize]
+            .iter()
+            .filter_map(|node| match &node.kind {
+                NodeKind::Text(t) => Some(t.as_ref()),
+                _ => None,
+            })
+    }
+
     /// Concatenated text of `id` and its descendants with whitespace runs
     /// collapsed to single spaces and the result trimmed. This matches
     /// what a human reads on the rendered page, which is the contract the
     /// paper's corpus format needs.
     pub fn text_of(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        let mut in_ws = true; // leading whitespace is dropped
-        for node in &self.nodes[id.0..self.subtree_end(id)] {
-            if let NodeKind::Text(t) = &node.kind {
-                push_collapsed(&mut out, &mut in_ws, t);
-            }
+        let mut text = CollapsedText::with_capacity(self.text_len(id));
+        self.push_text(id, &mut text);
+        text.into_string()
+    }
+
+    /// Bytes of text in `id`'s subtree before collapsing: room enough
+    /// for [`Document::text_of`]`(id)`.
+    pub fn text_len(&self, id: NodeId) -> usize {
+        self.texts(id).map(str::len).sum()
+    }
+
+    /// Append the text of `id`'s subtree to `text`, collapsing its
+    /// whitespace with what `text` already holds.
+    pub fn push_text(&self, id: NodeId, text: &mut CollapsedText) {
+        for t in self.texts(id) {
+            text.push(t);
         }
-        if out.ends_with(' ') {
-            out.pop();
-        }
-        out
+    }
+
+    /// True if [`Document::text_of`]`(id)` equals `expected`, decided
+    /// without building the text: the comparison stops at the first
+    /// piece that differs.
+    pub fn text_eq(&self, id: NodeId, expected: &str) -> bool {
+        let mut rest = expected;
+        let mut gap = Gap::Glued;
+        let same_prefix = self.texts(id).all(|t| {
+            gap.feed(t, |piece| match rest.strip_prefix(piece) {
+                Some(after) => {
+                    rest = after;
+                    true
+                }
+                None => false,
+            })
+        });
+        same_prefix && rest.is_empty()
     }
 
     /// Like [`Document::text_of`] but preserving line structure: block
     /// elements (`p`, `div`, `li`, `tr`, `br`, …) introduce newlines.
     /// Needed for `Examples` fields where indentation carries hierarchy.
     pub fn text_lines(&self, id: NodeId) -> Vec<String> {
-        let mut raw = String::new();
+        // Room for the text and a few line breaks.
+        let mut raw = String::with_capacity(self.text_len(id) + 8);
         self.collect_text_blocks(id, &mut raw);
         raw.lines()
-            .map(|l| l.trim_end().to_string())
-            .filter(|l| !l.trim().is_empty())
+            .map(str::trim_end)
+            .filter(|l| !l.is_empty())
+            .map(str::to_string)
             .collect()
     }
 
@@ -403,11 +667,7 @@ impl<'a> Document<'a> {
     /// document depth — attacker-controlled, though bounded by the
     /// builder's depth guard — costs no memory here.
     fn collect_text_blocks(&self, id: NodeId, out: &mut String) {
-        const BLOCK: &[&str] = &[
-            "p", "div", "li", "tr", "br", "pre", "h1", "h2", "h3", "h4", "h5", "table", "ul", "ol",
-            "dt", "dd", "section",
-        ];
-        let is_block = |n: NodeId| self.is_element_in(n, BLOCK);
+        let is_block = |n: NodeId| self.tag(n).is_in(BLOCK);
         let mut cur = id;
         'enter: loop {
             match &self.node(cur).kind {
@@ -420,7 +680,7 @@ impl<'a> Document<'a> {
                 }
                 _ => {}
             }
-            if let Some(child) = self.node(cur).first_child {
+            if let Some(child) = link(self.node(cur).first_child) {
                 cur = child;
                 continue;
             }
@@ -435,7 +695,7 @@ impl<'a> Document<'a> {
                     return;
                 }
                 let node = self.node(cur);
-                match (node.next_sibling, node.parent) {
+                match (link(node.next_sibling), link(node.parent)) {
                     (Some(sibling), _) => {
                         cur = sibling;
                         continue 'enter;
@@ -448,22 +708,9 @@ impl<'a> Document<'a> {
     }
 }
 
-/// Append `text` to `out` with each whitespace run collapsed to one
-/// space. `in_ws` carries "the output ends in whitespace" across calls,
-/// so a run split over several text nodes still collapses to one space,
-/// and starting with it set drops leading whitespace.
-fn push_collapsed(out: &mut String, in_ws: &mut bool, text: &str) {
-    for ch in text.chars() {
-        if ch.is_whitespace() {
-            if !*in_ws {
-                out.push(' ');
-                *in_ws = true;
-            }
-        } else {
-            out.push(ch);
-            *in_ws = false;
-        }
-    }
+/// The innermost open element: where the next node goes.
+fn top(stack: &[Open]) -> u32 {
+    stack.last().map_or(0, |open| open.id)
 }
 
 /// A run of siblings in document order, following the next-sibling
@@ -471,7 +718,7 @@ fn push_collapsed(out: &mut String, in_ws: &mut bool, text: &str) {
 #[derive(Debug, Clone)]
 pub struct Siblings<'d> {
     doc: &'d Document<'d>,
-    next: Option<NodeId>,
+    next: u32,
 }
 
 impl Iterator for Siblings<'_> {
@@ -479,7 +726,7 @@ impl Iterator for Siblings<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.next?;
+        let id = link(self.next)?;
         self.next = self.doc.node(id).next_sibling;
         Some(id)
     }
@@ -487,10 +734,10 @@ impl Iterator for Siblings<'_> {
 
 /// Depth-first pre-order traversal of a subtree (see
 /// [`Document::descendants`]): a subtree is a contiguous id range, so the
-/// walk is a counter.
+/// walk is a counter, and its last node is known without walking.
 #[derive(Debug, Clone)]
 pub struct Descendants {
-    ids: std::ops::Range<usize>,
+    ids: std::ops::Range<u32>,
 }
 
 impl Iterator for Descendants {
@@ -505,6 +752,15 @@ impl Iterator for Descendants {
         self.ids.size_hint()
     }
 }
+
+impl DoubleEndedIterator for Descendants {
+    #[inline]
+    fn next_back(&mut self) -> Option<NodeId> {
+        self.ids.next_back().map(NodeId)
+    }
+}
+
+impl ExactSizeIterator for Descendants {}
 
 #[cfg(test)]
 mod tests {
@@ -617,10 +873,14 @@ mod tests {
     fn element_class_helpers() {
         let doc = Document::parse(r#"<p class="a  b c">x</p>"#);
         let p = doc.children(doc.root()).next().unwrap();
-        let el = doc.element(p).unwrap();
-        assert!(el.has_class("b"));
-        assert!(!el.has_class("d"));
-        assert_eq!(el.classes().count(), 3);
+        assert!(doc.has_class(p, "b"));
+        assert!(!doc.has_class(p, "d"));
+        assert_eq!(doc.classes(p).count(), 3);
+        assert_eq!(doc.attr(p, "class"), Some("a  b c"));
+        // Text nodes and the root have no attributes and no classes.
+        let text = doc.children(p).next().unwrap();
+        assert!(doc.attrs(text).is_empty());
+        assert_eq!(doc.classes(doc.root()).count(), 0);
     }
 
     #[test]
@@ -720,7 +980,7 @@ mod tests {
         assert_eq!(doc.len(), 1 + depth + 1);
         // ...but no chain is deeper than the guard allows.
         let max_chain = (0..doc.len())
-            .map(|i| doc.ancestors(NodeId(i)).count())
+            .map(|i| doc.ancestors(NodeId(i as u32)).count())
             .max()
             .unwrap();
         assert!(max_chain <= 5 + 1, "chain of {max_chain} ancestors");

@@ -12,7 +12,8 @@
 //!   appear in real manuals (`<p>`, `<li>`, `<td>`, …),
 //! * [`select`]ors by tag name, class and attribute, with traversal
 //!   helpers (descendants, following siblings, ancestors),
-//! * whitespace-normalising text extraction ([`Document::text_of`]).
+//! * whitespace-normalising text extraction ([`Document::text_of`],
+//!   [`Document::text_eq`], [`CollapsedText`]).
 //!
 //! Like the parsers in production HTML engines, parsing here is *total*:
 //! any byte sequence produces a tree, and anomalies degrade locally rather
@@ -28,7 +29,8 @@
 //! attribute value in which a character reference decodes (`&lt;`). On
 //! manual pages that is a small minority of tokens. Nodes link to their
 //! parent, first and last child and next sibling, so every traversal
-//! walks links or an id range and none allocates.
+//! walks links or an id range and none allocates, and the attributes of
+//! all elements share one arena per document.
 //!
 //! Totality is bounded, though: [`Document::parse_budgeted`] enforces an
 //! [`IngestBudget`] of per-page byte/token/node ceilings (returning a typed
@@ -49,9 +51,11 @@ pub mod budget;
 pub mod dom;
 pub mod entities;
 pub mod select;
+pub mod text;
 pub mod tokenizer;
 
 pub use budget::{BudgetExhausted, BudgetResource, IngestBudget};
 pub use dom::{Document, Element, Node, NodeId};
 pub use select::Selector;
+pub use text::CollapsedText;
 pub use tokenizer::{MarkupDefect, MarkupDefectKind, Token, Tokenizer};

@@ -105,6 +105,8 @@ impl Selector {
     }
 
     /// True if node `id` in `doc` is an element satisfying this selector.
+    /// Names were case-folded when the selector was built, so matching
+    /// compares them as they are.
     pub fn matches(&self, doc: &Document, id: NodeId) -> bool {
         let Some(el) = doc.element(id) else {
             return false;
@@ -114,12 +116,12 @@ impl Selector {
                 return false;
             }
         }
-        if !self.classes.iter().all(|c| el.has_class(c)) {
+        if !self.classes.iter().all(|c| doc.has_class(id, c)) {
             return false;
         }
         self.attrs.iter().all(|p| match p {
-            AttrPred::Present(name) => el.attr(name).is_some(),
-            AttrPred::Equals(name, value) => el.attr(name) == Some(value.as_str()),
+            AttrPred::Present(name) => doc.attr(id, name).is_some(),
+            AttrPred::Equals(name, value) => doc.attr(id, name) == Some(value.as_str()),
         })
     }
 }
@@ -142,19 +144,20 @@ impl Document<'_> {
     }
 
     /// Convenience: elements carrying class `class`.
-    pub fn select_class(&self, class: &str) -> impl Iterator<Item = NodeId> + '_ {
-        let class = class.to_string();
+    pub fn select_class<'d>(&'d self, class: &'d str) -> impl Iterator<Item = NodeId> + 'd {
         let doc = self.shorten();
         doc.descendants(doc.root())
-            .filter(move |&id| doc.element(id).is_some_and(|e| e.has_class(&class)))
+            .filter(move |&id| doc.has_class(id, class))
     }
 
-    /// Convenience: elements with tag `name`.
-    pub fn select_tag(&self, name: &str) -> impl Iterator<Item = NodeId> + '_ {
-        let name = name.to_ascii_lowercase();
+    /// Convenience: elements with tag `name` (case-insensitive; element
+    /// names are already lower-case, so no folded copy is made).
+    pub fn select_tag<'d>(&'d self, name: &'d str) -> impl Iterator<Item = NodeId> + 'd {
         let doc = self.shorten();
-        doc.descendants(doc.root())
-            .filter(move |&id| doc.element(id).is_some_and(|e| e.name == name))
+        doc.descendants(doc.root()).filter(move |&id| {
+            doc.element(id)
+                .is_some_and(|e| e.name.eq_ignore_ascii_case(name))
+        })
     }
 
     /// First element matching `selector`, if any.

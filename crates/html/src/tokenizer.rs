@@ -121,9 +121,6 @@ pub struct Tokenizer<'a> {
     defects: Vec<MarkupDefect>,
 }
 
-/// Elements whose content is raw text (no nested markup).
-const RAW_TEXT_ELEMENTS: &[&str] = &["script", "style"];
-
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer reading from `input`.
     pub fn new(input: &'a str) -> Self {
@@ -166,24 +163,28 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Consume raw text up to (not including) `</name`, for raw-text elements.
-    fn next_raw_text(&mut self, name: &str) -> Option<Token<'a>> {
+    fn next_raw_text(&mut self, name: &str, attrs: &mut Attrs<'a>) -> Option<Token<'a>> {
         let rest = self.rest();
         let end = find_close_tag(rest, name).unwrap_or(rest.len());
         self.raw_text_end = None;
         if end == 0 {
             // Immediately at the close tag; fall through to normal tokenizing.
-            return self.next_token();
+            return self.next_into(attrs);
         }
         self.pos += end;
         Some(Token::Text(Cow::Borrowed(&rest[..end])))
     }
 
-    fn next_token(&mut self) -> Option<Token<'a>> {
+    /// The next token, with a start tag's attributes appended to `attrs`
+    /// instead of collected into the token (whose `attrs` stays empty and
+    /// unallocated). The DOM builder passes its attribute arena here, so
+    /// building a document allocates no list per tag.
+    pub(crate) fn next_into(&mut self, attrs: &mut Attrs<'a>) -> Option<Token<'a>> {
         if self.pos >= self.input.len() {
             return None;
         }
         if let Some(name) = self.raw_text_end {
-            return self.next_raw_text(name);
+            return self.next_raw_text(name, attrs);
         }
         if self.peek(0) != Some(b'<') {
             return Some(self.consume_text());
@@ -194,7 +195,7 @@ impl<'a> Tokenizer<'a> {
             Some(b'/') => Some(self.consume_end_tag()),
             // The `<` opens a tag only when a tag name can begin after it;
             // otherwise it is literal text (e.g. "a < b").
-            Some(c) if c.is_ascii_alphabetic() => Some(self.consume_start_tag()),
+            Some(c) if c.is_ascii_alphabetic() => Some(self.consume_start_tag(attrs)),
             _ => Some(self.consume_text()),
         }
     }
@@ -234,6 +235,19 @@ impl<'a> Tokenizer<'a> {
         let tag_start = self.pos;
         let body_start = self.pos + 2;
         let rest = &self.input[body_start..];
+        // `</name>` with a lower-case alphanumeric name needs no trimming
+        // or case folding: the name is the bytes before the `>`.
+        let bytes = rest.as_bytes();
+        let plain = bytes
+            .iter()
+            .take_while(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+            .count();
+        if plain > 0 && bytes.get(plain) == Some(&b'>') {
+            self.pos = body_start + plain + 1;
+            return Token::EndTag {
+                name: Cow::Borrowed(&rest[..plain]),
+            };
+        }
         let end = rest.find('>').unwrap_or_else(|| {
             self.defects.push(MarkupDefect {
                 kind: MarkupDefectKind::UnterminatedTag,
@@ -246,25 +260,30 @@ impl<'a> Tokenizer<'a> {
         Token::EndTag { name }
     }
 
-    fn consume_start_tag(&mut self) -> Token<'a> {
+    fn consume_start_tag(&mut self, attrs: &mut Attrs<'a>) -> Token<'a> {
         let tag_start = self.pos;
         let rest = self.rest();
         let name_end = tag_name_end(rest);
         let name = ascii_lowercase(&rest[1..name_end]);
-        let (attrs, self_closing, after) = parse_attrs(
+        let (self_closing, after) = parse_attrs(
             self.input,
             self.pos + name_end,
             tag_start,
+            attrs,
             &mut self.defects,
         );
         self.pos = after;
         if !self_closing {
             // Remember to treat the following content as raw text.
-            self.raw_text_end = RAW_TEXT_ELEMENTS.iter().find(|&&e| e == name).copied();
+            self.raw_text_end = match &*name {
+                "script" => Some("script"),
+                "style" => Some("style"),
+                _ => None,
+            };
         }
         Token::StartTag {
             name,
-            attrs,
+            attrs: Vec::new(),
             self_closing,
         }
     }
@@ -272,23 +291,31 @@ impl<'a> Tokenizer<'a> {
     fn consume_text(&mut self) -> Token<'a> {
         let rest = self.rest();
         let bytes = rest.as_bytes();
-        // Text runs to the next '<' that opens markup, or end of input.
+        // Text runs to the next '<' that opens markup, or end of input (a
+        // '<' at the start did not open markup, or it would not be text).
+        // The same scan notes whether a '&' could start a reference.
         let mut end = rest.len();
-        let mut search_from = if rest.starts_with('<') { 1 } else { 0 };
-        while let Some(off) = rest[search_from..].find('<') {
-            let i = search_from + off;
-            let opens_markup = matches!(
-                bytes.get(i + 1),
-                Some(&c) if c.is_ascii_alphabetic() || c == b'/' || c == b'!'
-            );
-            if opens_markup {
+        let mut has_amp = false;
+        for (i, &b) in bytes.iter().enumerate().skip(1) {
+            if b == b'<'
+                && matches!(
+                    bytes.get(i + 1),
+                    Some(&c) if c.is_ascii_alphabetic() || c == b'/' || c == b'!'
+                )
+            {
                 end = i;
                 break;
             }
-            search_from = i + 1;
+            has_amp |= b == b'&';
         }
+        has_amp |= bytes.first() == Some(&b'&');
         self.pos += end;
-        Token::Text(entities::decode_cow(&rest[..end]))
+        let text = &rest[..end];
+        Token::Text(if has_amp {
+            entities::decode_cow(text)
+        } else {
+            Cow::Borrowed(text)
+        })
     }
 }
 
@@ -344,18 +371,19 @@ fn find_close_tag(haystack: &str, name: &str) -> Option<usize> {
 }
 
 /// An attribute list: lower-cased names and entity-decoded values.
-type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
+pub(crate) type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
 
 /// Parse attributes starting at byte offset `start` (just after the tag
-/// name). Returns `(attrs, self_closing, position_after_tag)`; records
-/// recoveries against `tag_start` in `defects`.
+/// name), appending them to `attrs`. Returns `(self_closing,
+/// position_after_tag)`; records recoveries against `tag_start` in
+/// `defects`.
 fn parse_attrs<'a>(
     input: &'a str,
     start: usize,
     tag_start: usize,
+    attrs: &mut Attrs<'a>,
     defects: &mut Vec<MarkupDefect>,
-) -> (Attrs<'a>, bool, usize) {
-    let mut attrs = Vec::new();
+) -> (bool, usize) {
     let mut self_closing = false;
     let bytes = input.as_bytes();
     let mut i = start;
@@ -369,10 +397,10 @@ fn parse_attrs<'a>(
                 kind: MarkupDefectKind::UnterminatedTag,
                 offset: tag_start,
             });
-            return (attrs, self_closing, i);
+            return (self_closing, i);
         }
         match bytes[i] {
-            b'>' => return (attrs, self_closing, i + 1),
+            b'>' => return (self_closing, i + 1),
             b'/' => {
                 self_closing = true;
                 i += 1;
@@ -454,7 +482,12 @@ impl<'a> Iterator for Tokenizer<'a> {
     type Item = Token<'a>;
 
     fn next(&mut self) -> Option<Token<'a>> {
-        self.next_token()
+        let mut attrs = Vec::new();
+        let mut token = self.next_into(&mut attrs)?;
+        if let Token::StartTag { attrs: own, .. } = &mut token {
+            *own = attrs;
+        }
+        Some(token)
     }
 }
 

@@ -23,7 +23,7 @@ fn dump(doc: &Document, defects: &[MarkupDefect]) -> String {
             NodeKind::Root => writeln!(out, "{depth} root").unwrap(),
             NodeKind::Element(e) => {
                 write!(out, "{depth} <{}>", &*e.name).unwrap();
-                for (k, v) in &e.attrs {
+                for (k, v) in doc.attrs(id) {
                     write!(out, " {:?}={:?}", &**k, &**v).unwrap();
                 }
                 out.push('\n');

@@ -55,7 +55,7 @@ proptest! {
         let html = format!(r#"<div data-x="{}">x</div>"#, entities::encode_attr(&value));
         let doc = Document::parse(&html);
         let div = doc.children(doc.root()).next().expect("one element");
-        let got = doc.element(div).unwrap().attr("data-x").unwrap_or("");
+        let got = doc.attr(div, "data-x").unwrap_or("");
         prop_assert_eq!(got, value.as_str());
     }
 
