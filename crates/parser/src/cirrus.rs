@@ -8,7 +8,9 @@
 //! ("it is quickly found that the Cisco manual interchangeably use
 //! 'cKeyword', 'cBold' and 'cCN_CmdName'").
 
-use crate::extract::{cli_text, example_snippets, labelled_definition};
+use crate::extract::{
+    cli_text, example_snippets, extract, is_tag, joined_text, labelled_definition, Layout,
+};
 use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
@@ -18,26 +20,24 @@ use std::sync::Arc;
 /// Class configuration for the cirrus parser.
 pub struct ParserCirrus {
     /// Classes of CLI paragraphs (primary + variants).
-    pub clis_classes: Vec<String>,
+    pub clis_classes: &'static [&'static str],
     /// Class of the function-description paragraph.
-    pub func_class: String,
+    pub func_class: &'static str,
     /// Class of the command-modes paragraph.
-    pub views_class: String,
+    pub views_class: &'static str,
     /// Class of parameter-definition paragraphs.
-    pub para_class: String,
+    pub para_class: &'static str,
     /// Classes marking parameter spans (primary + variants).
-    pub param_classes: Vec<String>,
+    pub param_classes: &'static [&'static str],
 }
 
 impl ParserCirrus {
     /// The full configuration, as refined through the TDD loop.
     pub fn new() -> ParserCirrus {
         ParserCirrus {
-            clis_classes: vec!["pCE_CmdEnv".into(), "pCENB_CmdEnv_NoBold".into()],
-            func_class: "pB1_Body1".into(),
-            views_class: "pCRCM_CmdRefCmdModes".into(),
-            para_class: "pCRSD_CmdRefSynDesc".into(),
-            param_classes: vec!["cParamName".into(), "cItalic".into()],
+            clis_classes: &["pCE_CmdEnv", "pCENB_CmdEnv_NoBold"],
+            param_classes: &["cParamName", "cItalic"],
+            ..ParserCirrus::naive()
         }
     }
 
@@ -46,11 +46,11 @@ impl ParserCirrus {
     /// the TDD-loop example to demonstrate report-guided refinement.
     pub fn naive() -> ParserCirrus {
         ParserCirrus {
-            clis_classes: vec!["pCE_CmdEnv".into()],
-            func_class: "pB1_Body1".into(),
-            views_class: "pCRCM_CmdRefCmdModes".into(),
-            para_class: "pCRSD_CmdRefSynDesc".into(),
-            param_classes: vec!["cParamName".into()],
+            clis_classes: &["pCE_CmdEnv"],
+            func_class: "pB1_Body1",
+            views_class: "pCRCM_CmdRefCmdModes",
+            para_class: "pCRSD_CmdRefSynDesc",
+            param_classes: &["cParamName"],
         }
     }
 }
@@ -68,60 +68,48 @@ impl VendorParser for ParserCirrus {
 
     fn parse_doc(&self, url: &str, doc: &Document) -> Result<Option<ParsedPage>, NassimError> {
         ensure_parsable(self.vendor(), url, doc)?;
-        let params: Vec<&str> = self.param_classes.iter().map(String::as_str).collect();
-        let cli_nodes: Vec<_> = doc
-            .descendants(doc.root())
-            .filter(|&id| {
-                doc.element(id)
-                    .map(|e| self.clis_classes.iter().any(|c| e.has_class(c)))
-                    .unwrap_or(false)
-            })
-            .collect();
+        let [cli_nodes, func, views, paras, mut examples] = extract(
+            doc,
+            Layout::Classed,
+            [
+                self.clis_classes,
+                &[self.func_class],
+                &[self.views_class],
+                &[self.para_class],
+                &["example-snippet"],
+            ],
+        );
         // Pages without any CLI paragraph are non-command pages — but only
         // when they also lack the other command sections (a page whose CLI
         // class we have not configured yet must still be *parsed* so the
         // report can flag it).
-        let has_sections = doc.select_class(&self.views_class).next().is_some();
-        if cli_nodes.is_empty() && !has_sections {
+        if cli_nodes.is_empty() && views.is_empty() {
             return Ok(None);
         }
         let clis: Vec<String> = cli_nodes
             .iter()
-            .map(|&n| cli_text(doc, n, &params))
+            .map(|&n| cli_text(doc, n, self.param_classes))
             .filter(|s| !s.is_empty())
             .collect();
-        let func_def = doc
-            .select_class(&self.func_class)
-            .map(|n| doc.text_of(n))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let parent_views: Vec<String> = doc
-            .select_class(&self.views_class)
-            .map(|n| doc.text_of(n))
+        let parent_views: Vec<String> = views
+            .iter()
+            .map(|&n| doc.text_of(n))
             .filter(|s| !s.is_empty())
             .collect();
-        let para_def: Vec<ParaDef> = doc
-            .select_class(&self.para_class)
-            .filter_map(|n| labelled_definition(doc, n, &params))
+        let para_def: Vec<ParaDef> = paras
+            .iter()
+            .filter_map(|&n| labelled_definition(doc, n, self.param_classes))
             .map(|(name, info)| ParaDef::new(name, info))
             .collect();
-        let example_nodes: Vec<_> = doc
-            .descendants(doc.root())
-            .filter(|&id| {
-                doc.element(id)
-                    .map(|e| e.name == "pre" && e.has_class("example-snippet"))
-                    .unwrap_or(false)
-            })
-            .collect();
-        let examples = example_snippets(doc, &example_nodes);
+        examples.retain(|&n| is_tag(doc, n, "pre"));
         Ok(Some(ParsedPage {
             url: url.to_string(),
             entry: Arc::new(CorpusEntry {
                 clis,
-                func_def,
+                func_def: joined_text(doc, &func),
                 parent_views,
                 para_def,
-                examples,
+                examples: example_snippets(doc, &examples),
                 source: url.to_string(),
             }),
             context_path: None,

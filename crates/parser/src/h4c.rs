@@ -5,43 +5,30 @@
 //! header text inside each block (`Syntax`, `View`, `Parameters`,
 //! `Description`, `Examples`).
 
-use crate::extract::{cli_text, example_snippets, labelled_definition};
+use crate::extract::{
+    cli_text, example_snippets, extract, joined_text, labelled_definition, Layout,
+};
 use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
-use nassim_html::{Document, NodeId};
+use nassim_html::Document;
 use std::sync::Arc;
 
 /// Class configuration for the h4c parser.
 pub struct ParserH4c {
     /// The one section class.
-    pub block_class: String,
+    pub block_class: &'static str,
     /// Classes marking parameter spans.
-    pub param_classes: Vec<String>,
+    pub param_classes: &'static [&'static str],
 }
 
 impl ParserH4c {
     /// The full configuration.
     pub fn new() -> ParserH4c {
         ParserH4c {
-            block_class: "Command".into(),
-            param_classes: vec!["cmdarg".into()],
+            block_class: "Command",
+            param_classes: &["cmdarg"],
         }
-    }
-
-    /// The section block whose leading `<b>` text equals `label`; returns
-    /// the block's content nodes (header excluded).
-    fn block(&self, doc: &Document, label: &str) -> Vec<NodeId> {
-        for div in doc.select_class(&self.block_class) {
-            let header = doc
-                .children(div)
-                .find(|&id| doc.element(id).map(|e| e.name == "b").unwrap_or(false));
-            let Some(h) = header else { continue };
-            if doc.text_of(h) == label {
-                return doc.children(div).filter(|&id| id != h).collect();
-            }
-        }
-        Vec::new()
     }
 }
 
@@ -58,46 +45,51 @@ impl VendorParser for ParserH4c {
 
     fn parse_doc(&self, url: &str, doc: &Document) -> Result<Option<ParsedPage>, NassimError> {
         ensure_parsable(self.vendor(), url, doc)?;
-        let syntax = self.block(doc, "Syntax");
+        // Each block is labelled by its leading `<b>`.
+        let layout = Layout::TitledBlocks {
+            class: self.block_class,
+            header_tag: "b",
+        };
+        let [syntax, views, params, description, examples] = extract(
+            doc,
+            layout,
+            [
+                &["Syntax"],
+                &["View"],
+                &["Parameters"],
+                &["Description"],
+                &["Examples"],
+            ],
+        );
         if syntax.is_empty() {
             return Ok(None);
         }
-        let params: Vec<&str> = self.param_classes.iter().map(String::as_str).collect();
+        let is_element = |n: &&_| doc.element(**n).is_some();
         let clis: Vec<String> = syntax
             .iter()
-            .filter(|&&n| doc.element(n).is_some())
-            .map(|&n| cli_text(doc, n, &params))
+            .filter(is_element)
+            .map(|&n| cli_text(doc, n, self.param_classes))
             .filter(|s| !s.is_empty())
             .collect();
-        let parent_views: Vec<String> = self
-            .block(doc, "View")
+        let parent_views: Vec<String> = views
             .iter()
-            .filter(|&&n| doc.element(n).is_some())
+            .filter(is_element)
             .map(|&n| doc.text_of(n))
             .filter(|s| !s.is_empty())
             .collect();
-        let para_def: Vec<ParaDef> = self
-            .block(doc, "Parameters")
+        let para_def: Vec<ParaDef> = params
             .iter()
-            .filter_map(|&n| labelled_definition(doc, n, &params))
+            .filter_map(|&n| labelled_definition(doc, n, self.param_classes))
             .map(|(name, info)| ParaDef::new(name, info))
             .collect();
-        let func_def = self
-            .block(doc, "Description")
-            .iter()
-            .filter(|&&n| doc.element(n).is_some())
-            .map(|&n| doc.text_of(n))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let examples = example_snippets(doc, &self.block(doc, "Examples"));
         Ok(Some(ParsedPage {
             url: url.to_string(),
             entry: Arc::new(CorpusEntry {
                 clis,
-                func_def,
+                func_def: joined_text(doc, description.iter().filter(is_element)),
                 parent_views,
                 para_def,
-                examples,
+                examples: example_snippets(doc, &examples),
                 source: url.to_string(),
             }),
             context_path: None,

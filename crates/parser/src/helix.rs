@@ -5,43 +5,31 @@
 //! Table-1 Huawei pattern); section bodies are the following siblings up
 //! to the next header.
 
-use crate::extract::{cli_text, example_snippets, labelled_definition, section_body};
+use crate::extract::{
+    cli_text, example_snippets, extract, joined_text, labelled_definition, Layout,
+};
 use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
-use nassim_html::{Document, NodeId};
+use nassim_html::Document;
 use std::sync::Arc;
 
 /// CSS/class configuration; [`ParserHelix::new`] holds the complete table
 /// discovered through the TDD loop.
 pub struct ParserHelix {
     /// Class of section-header divs.
-    pub section_class: String,
+    pub section_class: &'static str,
     /// Classes marking parameter spans inside CLI text.
-    pub param_classes: Vec<String>,
+    pub param_classes: &'static [&'static str],
 }
 
 impl ParserHelix {
     /// The full configuration.
     pub fn new() -> ParserHelix {
         ParserHelix {
-            section_class: "sectiontitle".to_string(),
-            param_classes: vec!["paramvalue".to_string()],
+            section_class: "sectiontitle",
+            param_classes: &["paramvalue"],
         }
-    }
-
-    fn is_header(&self, doc: &Document, id: NodeId) -> bool {
-        doc.element(id)
-            .map(|e| e.has_class(&self.section_class))
-            .unwrap_or(false)
-    }
-
-    /// Body nodes of the section whose header text equals `label`.
-    fn section(&self, doc: &Document, label: &str) -> Vec<NodeId> {
-        doc.select_class(&self.section_class)
-            .find(|&id| doc.text_of(id) == label)
-            .map(|header| section_body(doc, header, |d, id| self.is_header(d, id)))
-            .unwrap_or_default()
     }
 }
 
@@ -58,43 +46,46 @@ impl VendorParser for ParserHelix {
 
     fn parse_doc(&self, url: &str, doc: &Document) -> Result<Option<ParsedPage>, NassimError> {
         ensure_parsable(self.vendor(), url, doc)?;
-        let format = self.section(doc, "Format");
+        let layout = Layout::TitledSiblings {
+            class: self.section_class,
+        };
+        let [format, function, views, params, examples] = extract(
+            doc,
+            layout,
+            [
+                &["Format"],
+                &["Function"],
+                &["Views"],
+                &["Parameters"],
+                &["Examples"],
+            ],
+        );
         if format.is_empty() {
             return Ok(None); // preface / index page
         }
-        let params: Vec<&str> = self.param_classes.iter().map(String::as_str).collect();
         let clis: Vec<String> = format
             .iter()
-            .map(|&n| cli_text(doc, n, &params))
+            .map(|&n| cli_text(doc, n, self.param_classes))
             .filter(|s| !s.is_empty())
             .collect();
-        let func_def = self
-            .section(doc, "Function")
-            .iter()
-            .map(|&n| doc.text_of(n))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let parent_views: Vec<String> = self
-            .section(doc, "Views")
+        let parent_views: Vec<String> = views
             .iter()
             .map(|&n| doc.text_of(n))
             .filter(|s| !s.is_empty())
             .collect();
-        let para_def: Vec<ParaDef> = self
-            .section(doc, "Parameters")
+        let para_def: Vec<ParaDef> = params
             .iter()
-            .filter_map(|&n| labelled_definition(doc, n, &params))
+            .filter_map(|&n| labelled_definition(doc, n, self.param_classes))
             .map(|(name, info)| ParaDef::new(name, info))
             .collect();
-        let examples = example_snippets(doc, &self.section(doc, "Examples"));
         Ok(Some(ParsedPage {
             url: url.to_string(),
             entry: Arc::new(CorpusEntry {
                 clis,
-                func_def,
+                func_def: joined_text(doc, &function),
                 parent_views,
                 para_def,
-                examples,
+                examples: example_snippets(doc, &examples),
                 source: url.to_string(),
             }),
             context_path: None,
@@ -201,8 +192,8 @@ mod tests {
         // must flag it.
         let m = manual();
         let broken = ParserHelix {
-            section_class: "sectiontitle".into(),
-            param_classes: vec!["not-the-real-class".into()],
+            param_classes: &["not-the-real-class"],
+            ..ParserHelix::new()
         };
         let run = run_parser(
             &broken,

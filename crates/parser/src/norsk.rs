@@ -6,46 +6,35 @@
 //! extracts into [`ParsedPage::context_path`] — the Table-4 footnote's
 //! "extra functions" that let hierarchy be read rather than derived.
 
-use crate::extract::{cli_text, labelled_definition, section_body};
+use crate::extract::{cli_text, extract, is_tag, joined_text, labelled_definition, Layout};
 use crate::framework::{ensure_parsable, ParsedPage, VendorParser};
 use nassim_corpus::{CorpusEntry, ParaDef};
 use nassim_diag::NassimError;
-use nassim_html::{Document, NodeId};
+use nassim_html::Document;
 use std::sync::Arc;
 
 /// Class configuration for the norsk parser.
 pub struct ParserNorsk {
-    pub syntax_header: String,
-    pub context_header: String,
-    pub description_header: String,
-    pub parameters_header: String,
-    pub tree_header: String,
+    pub syntax_header: &'static str,
+    pub context_header: &'static str,
+    pub description_header: &'static str,
+    pub parameters_header: &'static str,
+    pub tree_header: &'static str,
     /// Classes marking parameter spans.
-    pub param_classes: Vec<String>,
+    pub param_classes: &'static [&'static str],
 }
 
 impl ParserNorsk {
     /// The full configuration.
     pub fn new() -> ParserNorsk {
         ParserNorsk {
-            syntax_header: "SyntaxHeader".into(),
-            context_header: "ContextHeader".into(),
-            description_header: "DescriptionHeader".into(),
-            parameters_header: "ParametersHeader".into(),
-            tree_header: "TreeHeader".into(),
-            param_classes: vec!["ArgText".into()],
+            syntax_header: "SyntaxHeader",
+            context_header: "ContextHeader",
+            description_header: "DescriptionHeader",
+            parameters_header: "ParametersHeader",
+            tree_header: "TreeHeader",
+            param_classes: &["ArgText"],
         }
-    }
-
-    fn is_any_header(doc: &Document, id: NodeId) -> bool {
-        doc.element(id).map(|e| e.name == "h3").unwrap_or(false)
-    }
-
-    fn section(&self, doc: &Document, header_class: &str) -> Vec<NodeId> {
-        doc.select_class(header_class)
-            .next()
-            .map(|h| section_body(doc, h, Self::is_any_header))
-            .unwrap_or_default()
     }
 }
 
@@ -62,21 +51,30 @@ impl VendorParser for ParserNorsk {
 
     fn parse_doc(&self, url: &str, doc: &Document) -> Result<Option<ParsedPage>, NassimError> {
         ensure_parsable(self.vendor(), url, doc)?;
-        let syntax = self.section(doc, &self.syntax_header);
+        // Every section runs to the next `h3`, whatever its class.
+        let [syntax, context, tree, description, params] = extract(
+            doc,
+            Layout::ClassHeaders { end_tag: "h3" },
+            [
+                &[self.syntax_header],
+                &[self.context_header],
+                &[self.tree_header],
+                &[self.description_header],
+                &[self.parameters_header],
+            ],
+        );
         if syntax.is_empty() {
             return Ok(None);
         }
-        let params: Vec<&str> = self.param_classes.iter().map(String::as_str).collect();
         let clis: Vec<String> = syntax
             .iter()
-            .map(|&n| cli_text(doc, n, &params))
+            .map(|&n| cli_text(doc, n, self.param_classes))
             .filter(|s| !s.is_empty())
             .collect();
         // Context: explicit view paths "configure > configure BGP > …",
         // one paragraph per working view (multi-view commands have
         // several).
-        let context_paths: Vec<Vec<String>> = self
-            .section(doc, &self.context_header)
+        let context_paths: Vec<Vec<String>> = context
             .iter()
             .map(|&n| doc.text_of(n))
             .filter(|t| !t.trim().is_empty())
@@ -94,46 +92,30 @@ impl VendorParser for ParserNorsk {
             .collect();
         let context_path: Vec<String> = context_paths.first().cloned().unwrap_or_default();
         // Explicit command tree: "Enters: <view name>" on container pages.
-        let enters_view = self
-            .section(doc, &self.tree_header)
+        let enters_view = tree
             .iter()
             .map(|&n| doc.text_of(n))
             .find_map(|t| t.strip_prefix("Enters:").map(|v| v.trim().to_string()));
-        let func_def = self
-            .section(doc, &self.description_header)
-            .iter()
-            .map(|&n| doc.text_of(n))
-            .collect::<Vec<_>>()
-            .join(" ");
         // Parameters live in a definition list: dt holds the name span,
         // the following dd holds the description.
-        let para_def: Vec<ParaDef> = self
-            .section(doc, &self.parameters_header)
+        let para_def: Vec<ParaDef> = params
             .iter()
-            .flat_map(|&n| {
-                let mut defs = Vec::new();
-                let dts: Vec<NodeId> = doc
-                    .descendants(n)
-                    .filter(|&id| doc.element(id).map(|e| e.name == "dt").unwrap_or(false))
-                    .collect();
-                for dt in dts {
-                    if let Some((name, _)) = labelled_definition(doc, dt, &params) {
-                        let desc = doc
-                            .following_siblings(dt)
-                            .find(|&id| doc.element(id).map(|e| e.name == "dd").unwrap_or(false))
-                            .map(|dd| doc.text_of(dd))
-                            .unwrap_or_default();
-                        defs.push(ParaDef::new(name, desc));
-                    }
-                }
-                defs
+            .flat_map(|&n| doc.descendants(n).filter(|&id| is_tag(doc, id, "dt")))
+            .filter_map(|dt| {
+                let (name, _) = labelled_definition(doc, dt, self.param_classes)?;
+                let desc = doc
+                    .following_siblings(dt)
+                    .find(|&id| is_tag(doc, id, "dd"))
+                    .map(|dd| doc.text_of(dd))
+                    .unwrap_or_default();
+                Some(ParaDef::new(name, desc))
             })
             .collect();
         Ok(Some(ParsedPage {
             url: url.to_string(),
             entry: Arc::new(CorpusEntry {
                 clis,
-                func_def,
+                func_def: joined_text(doc, &description),
                 parent_views,
                 para_def,
                 examples: Vec::new(),
