@@ -129,26 +129,32 @@ impl fmt::Display for CorpusViolation {
 /// to the formal syntax validator (`nassim-syntax`); here we only harvest
 /// well-formed `<token>` spans.
 pub fn placeholder_tokens(cli: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
+    placeholders(cli).map(str::to_string).collect()
+}
+
+/// The tokens of [`placeholder_tokens`], borrowed, in order of appearance.
+fn placeholders(cli: &str) -> impl Iterator<Item = &str> {
     let mut rest = cli;
-    while let Some(open) = rest.find('<') {
-        let after = &rest[open + 1..];
-        match after.find(['<', '>']) {
-            Some(i) if after.as_bytes()[i] == b'>' => {
-                let token = after[..i].trim();
-                if !token.is_empty() {
-                    out.insert(token.to_string());
+    std::iter::from_fn(move || {
+        while let Some(open) = rest.find('<') {
+            let after = &rest[open + 1..];
+            match after.find(['<', '>']) {
+                Some(i) if after.as_bytes()[i] == b'>' => {
+                    rest = &after[i + 1..];
+                    let token = after[..i].trim();
+                    if !token.is_empty() {
+                        return Some(token);
+                    }
                 }
-                rest = &after[i + 1..];
+                Some(i) => {
+                    // Nested '<' before any '>': skip to it and keep scanning.
+                    rest = &after[i..];
+                }
+                None => break,
             }
-            Some(i) => {
-                // Nested '<' before any '>': skip to it and keep scanning.
-                rest = &after[i..];
-            }
-            None => break,
         }
-    }
-    out
+        None
+    })
 }
 
 impl CorpusEntry {
@@ -235,18 +241,14 @@ impl CorpusEntry {
     /// of a mis-configured CSS class (the Cisco
     /// `cKeyword`/`cBold`/`cCN_CmdName` problem of §2.2 / Appendix B).
     fn check_param_selfcheck(&self, out: &mut Vec<CorpusViolation>) {
-        let used: BTreeSet<String> = self
-            .clis
-            .iter()
-            .flat_map(|cli| placeholder_tokens(cli))
-            .collect();
-        let defined: BTreeSet<String> = self
+        let used: BTreeSet<&str> = self.clis.iter().flat_map(|cli| placeholders(cli)).collect();
+        let defined: BTreeSet<&str> = self
             .para_def
             .iter()
             .flat_map(|pd| {
                 pd.paras
                     .split_whitespace()
-                    .map(|t| t.trim_matches(['<', '>']).to_string())
+                    .map(|t| t.trim_matches(['<', '>']))
             })
             .filter(|t| !t.is_empty())
             .collect();
