@@ -68,6 +68,14 @@ pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> R
     Ok(())
 }
 
+/// Write `s` as a JSON string (the bytes [`to_string`] writes for it)
+/// without building a [`Value`], so a large borrowed string is escaped
+/// straight into `writer` instead of being copied into a tree first.
+pub fn to_writer_str<W: Write>(mut writer: W, s: &str) -> Result<(), Error> {
+    write_string(&mut writer, s)?;
+    Ok(())
+}
+
 /// Deepest array/object nesting [`from_str`] accepts.
 pub const RECURSION_LIMIT: usize = 128;
 

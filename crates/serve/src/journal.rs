@@ -41,7 +41,7 @@
 //! typed) — the simulated kill, observable end to end by restarting.
 
 use crate::protocol::valid_job_id;
-use nassim::corpus::{fnv1a_bytes, fnv1a_str};
+use nassim::corpus::fnv1a_bytes;
 use nassim::{append_record, global_crash_plan, CrashPlan, MAX_STORE_BYTES};
 use nassim_diag::{Diagnostic, NassimError, Stage};
 use parking_lot::Mutex;
@@ -94,7 +94,10 @@ impl JournalRecord {
         }
     }
 
-    fn to_value(&self) -> Value {
+    /// The record's fields as a tree, `pages` excepted: a `submitted`
+    /// record's pages are written from the borrowed strings instead (see
+    /// [`JournalRecord::submitted_line`]).
+    fn head_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = vec![
             ("type".to_string(), Value::Str(self.type_str().to_string())),
             ("job".to_string(), Value::Str(self.job().to_string())),
@@ -103,27 +106,12 @@ impl JournalRecord {
             JournalRecord::Submitted {
                 vendor,
                 deadline_ms,
-                pages,
                 ..
             } => {
                 fields.push(("vendor".to_string(), Value::Str(vendor.clone())));
                 if let Some(ms) = deadline_ms {
                     fields.push(("deadline_ms".to_string(), Value::Num(*ms as f64)));
                 }
-                fields.push((
-                    "pages".to_string(),
-                    Value::Arr(
-                        pages
-                            .iter()
-                            .map(|(url, html)| {
-                                Value::Arr(vec![
-                                    Value::Str(url.clone()),
-                                    Value::Str(html.clone()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
             }
             JournalRecord::Stage { stage, key, .. } => {
                 fields.push(("stage".to_string(), Value::Str(stage.clone())));
@@ -189,17 +177,50 @@ impl JournalRecord {
     /// serialized once; the checksum covers exactly the `rec` bytes in
     /// the line, which is what [`JournalRecord::parse_line`] hashes.
     pub fn to_line(&self) -> String {
-        #[allow(clippy::unwrap_used)] // Value serialization is infallible.
-        let rec = serde_json::to_string(&self.to_value()).unwrap();
-        let sum = format!("{:016x}", fnv1a_str(&rec));
-        // Room for the frame and the `\n` the append adds.
-        let mut line = String::with_capacity(rec.len() + 40);
-        line.push_str(r#"{"sum":""#);
-        line.push_str(&sum);
-        line.push_str(r#"","rec":"#);
-        line.push_str(&rec);
-        line.push('}');
-        line
+        match self {
+            JournalRecord::Submitted {
+                job,
+                vendor,
+                deadline_ms,
+                pages,
+            } => JournalRecord::submitted_line(job, vendor, *deadline_ms, pages),
+            _ => frame(0, |out| serde_json::to_writer(out, &self.head_value())),
+        }
+    }
+
+    /// The [`JournalRecord::to_line`] of a `submitted` record, written
+    /// from borrowed fields: each page string is escaped straight into
+    /// the line, so the payload is neither copied into a record nor into
+    /// a JSON tree on its way to disk.
+    pub fn submitted_line(
+        job: &str,
+        vendor: &str,
+        deadline_ms: Option<u64>,
+        pages: &[(String, String)],
+    ) -> String {
+        let head = JournalRecord::Submitted {
+            job: job.to_string(),
+            vendor: vendor.to_string(),
+            deadline_ms,
+            pages: Vec::new(),
+        }
+        .head_value();
+        let payload: usize = pages.iter().map(|(u, h)| u.len() + h.len() + 8).sum();
+        frame(payload + 128, |out| {
+            serde_json::to_writer(&mut *out, &head)?;
+            // Reopen the head object to append `pages` as its last field.
+            out.pop();
+            out.extend_from_slice(br#","pages":["#);
+            for (i, (url, html)) in pages.iter().enumerate() {
+                out.extend_from_slice(if i == 0 { b"[" } else { b",[" });
+                serde_json::to_writer_str(&mut *out, url)?;
+                out.push(b',');
+                serde_json::to_writer_str(&mut *out, html)?;
+                out.push(b']');
+            }
+            out.extend_from_slice(b"]}");
+            Ok(())
+        })
     }
 
     /// Parse and verify one log line. Any failure — bad JSON, missing
@@ -225,6 +246,28 @@ impl JournalRecord {
         }
         JournalRecord::from_value(value.get_mut("rec").map_or(Value::Null, Value::take))
     }
+}
+
+/// One log line, `{"sum":"<fnv1a of rec's bytes>","rec":<rec>}`, with
+/// `rec` serialized in place by `write_rec` into a buffer sized for
+/// `capacity` bytes of it. The checksum is fixed-width, so it is patched
+/// in after the record rather than the record being copied behind it.
+fn frame(
+    capacity: usize,
+    write_rec: impl FnOnce(&mut Vec<u8>) -> Result<(), serde_json::Error>,
+) -> String {
+    const HEAD: &[u8] = br#"{"sum":"0000000000000000","rec":"#;
+    const SUM: std::ops::Range<usize> = 8..24;
+    // Room for the frame and the `\n` the append adds.
+    let mut line = Vec::with_capacity(HEAD.len() + capacity + 2);
+    line.extend_from_slice(HEAD);
+    // Writing JSON into a `Vec` cannot fail, and it writes only UTF-8,
+    // so neither fallback below is ever taken.
+    let _ = write_rec(&mut line);
+    let sum = format!("{:016x}", fnv1a_bytes(&line[HEAD.len()..]));
+    line[SUM].copy_from_slice(sum.as_bytes());
+    line.push(b'}');
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn str_field(value: Option<Value>, name: &str) -> Result<String, String> {
@@ -419,6 +462,37 @@ impl JobJournal {
         rec: &JournalRecord,
         plan: Option<&CrashPlan>,
     ) -> Result<(), NassimError> {
+        self.append_line(rec.to_line(), plan, || rec.clone())
+    }
+
+    /// Durably append a job's intent, written from the borrowed request
+    /// ([`JournalRecord::submitted_line`]): the pages are copied once,
+    /// into the job index, and the record applied there is the one
+    /// [`JobJournal::append`] would apply.
+    pub fn append_submitted(
+        &self,
+        job: &str,
+        vendor: &str,
+        deadline_ms: Option<u64>,
+        pages: &[(String, String)],
+    ) -> Result<(), NassimError> {
+        let line = JournalRecord::submitted_line(job, vendor, deadline_ms, pages);
+        self.append_line(line, global_crash_plan(), || JournalRecord::Submitted {
+            job: job.to_string(),
+            vendor: vendor.to_string(),
+            deadline_ms,
+            pages: pages.to_vec(),
+        })
+    }
+
+    /// Append one serialized record and, once it is durable, apply the
+    /// record `applied` builds to the index.
+    fn append_line(
+        &self,
+        mut line: String,
+        plan: Option<&CrashPlan>,
+        applied: impl FnOnce() -> JournalRecord,
+    ) -> Result<(), NassimError> {
         if self.poisoned.load(Ordering::SeqCst) {
             return Err(NassimError::Internal {
                 context: format!(
@@ -427,12 +501,11 @@ impl JobJournal {
                 ),
             });
         }
-        let mut line = rec.to_line();
         line.push('\n');
         let mut file = self.file.lock();
         match append_record(&mut file, &self.log_path, line.as_bytes(), plan) {
             Ok(()) => {
-                apply_record(&mut self.jobs.lock(), rec.clone());
+                apply_record(&mut self.jobs.lock(), applied());
                 Ok(())
             }
             Err(e) => {
@@ -671,6 +744,37 @@ mod tests {
         journal.append(&recs[1]).unwrap();
         journal.append(&recs[2]).unwrap();
         assert!(journal.job("j1").unwrap().is_done());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn borrowed_intent_writes_the_record_line() {
+        let dir = temp_journal("borrowed");
+        let pages = vec![
+            ("u1".to_string(), "<p>\"a\\b\"\n\u{1}é 😀</p>".to_string()),
+            ("u2".to_string(), String::new()),
+        ];
+        let owned = JournalRecord::Submitted {
+            job: "j3".to_string(),
+            vendor: "norsk".to_string(),
+            deadline_ms: Some(90),
+            pages: pages.clone(),
+        };
+        {
+            let (journal, _) = JobJournal::open(&dir).unwrap();
+            journal
+                .append_submitted("j3", "norsk", Some(90), &pages)
+                .unwrap();
+            assert_eq!(journal.job("j3").unwrap().pages, pages);
+        }
+        let on_disk = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(on_disk, owned.to_line() + "\n");
+        let (journal, _) = JobJournal::open(&dir).unwrap();
+        assert_eq!(journal.job("j3").unwrap().pages, pages);
+        // A record with no pages closes its empty array.
+        let empty = JournalRecord::submitted_line("j4", "helix", None, &[]);
+        assert!(empty.ends_with(r#""pages":[]}}"#), "{empty}");
+        assert!(JournalRecord::parse_line(&empty).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -982,12 +982,7 @@ fn submit_manual(
                 }
             } else {
                 // Write-ahead intent: durable before any pipeline work.
-                if let Err(e) = journal.append(&JournalRecord::Submitted {
-                    job: id.to_string(),
-                    vendor: vendor.to_string(),
-                    deadline_ms,
-                    pages: pages.to_vec(),
-                }) {
+                if let Err(e) = journal.append_submitted(id, vendor, deadline_ms, pages) {
                     return write_line(writer, &durability_err(ctx, "submit", &e).to_line());
                 }
                 ctx.counters.jobs_journaled.fetch_add(1, Ordering::Relaxed);
