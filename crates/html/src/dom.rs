@@ -760,8 +760,6 @@ impl DoubleEndedIterator for Descendants {
     }
 }
 
-impl ExactSizeIterator for Descendants {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

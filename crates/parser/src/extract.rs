@@ -100,12 +100,12 @@ pub fn extract<const N: usize>(
 }
 
 /// True if `id` is an element carrying any of `classes`.
-pub fn in_classes(doc: &Document, id: NodeId, classes: &[&str]) -> bool {
+fn in_classes(doc: &Document, id: NodeId, classes: &[&str]) -> bool {
     classes.iter().any(|class| doc.has_class(id, class))
 }
 
 /// True if `id` is an element named `tag`.
-pub fn is_tag(doc: &Document, id: NodeId, tag: &str) -> bool {
+pub(crate) fn is_tag(doc: &Document, id: NodeId, tag: &str) -> bool {
     doc.element(id).is_some_and(|e| e.name == tag)
 }
 

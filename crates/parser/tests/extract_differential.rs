@@ -451,8 +451,8 @@ fn label_text(label: &str, variant: usize) -> String {
     }
 }
 
-/// A section body: empty, or one paragraph whose spans read as a CLI, a
-/// parameter definition and plain text alike.
+/// A section body: empty, or one paragraph or definition list whose
+/// spans read as a CLI, a parameter definition and plain text alike.
 fn body(vendor: usize, n: usize) -> String {
     let (p, kw, arg) = [
         ("cmd-line", "cmdname", "paramvalue"),
@@ -460,7 +460,7 @@ fn body(vendor: usize, n: usize) -> String {
         ("CmdSyntax", "CmdText", "ArgText"),
         ("pB1_Body1", "cBold", "cParamName"),
     ][vendor];
-    match n % 4 {
+    match n % 5 {
         0 => String::new(),
         1 => format!(
             r#"<p class="{p}"><span class="{kw}">dup{n}</span> <span class="{arg}">a&nbsp;{n}</span></p>"#
@@ -468,7 +468,10 @@ fn body(vendor: usize, n: usize) -> String {
         2 => format!(
             r#"<p class="{p}"><span class="{arg}">arg-{n}</span>: the {n}&#12288;value.</p>"#
         ),
-        _ => format!("<pre class=\"example-snippet\">show {n}\n\u{3000}peer {n}</pre>"),
+        3 => format!("<pre class=\"example-snippet\">show {n}\n\u{3000}peer {n}</pre>"),
+        _ => format!(
+            r#"<dl><dt>x <span class="{arg}"> <b>ar</b>g-{n}&nbsp;</span>: y</dt><dd> d {n} </dd></dl>"#
+        ),
     }
 }
 
@@ -591,7 +594,7 @@ fn first_header_wins_over_a_later_duplicate() {
         let html = format!(
             "<html><body>{}{}</body></html>",
             header(vendor, 0, 0, 1),
-            header(vendor, 0, 0, 5)
+            header(vendor, 0, 0, 6)
         );
         let (got, want) = records(vendor, "manual://dup", &html);
         assert_eq!(got, want, "{html}");
