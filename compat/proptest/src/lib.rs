@@ -282,7 +282,11 @@ pub mod string_gen {
         Class(Vec<(char, char)>),
         AnyPrintable,
         Group(Vec<Node>),
-        Repeat { inner: Box<Node>, min: u32, max: u32 },
+        Repeat {
+            inner: Box<Node>,
+            min: u32,
+            max: u32,
+        },
     }
 
     pub fn sample(pattern: &str, rng: &mut StdRng) -> String {
@@ -416,7 +420,11 @@ pub mod string_gen {
             while *pos < chars.len() && chars[*pos].is_ascii_digit() {
                 *pos += 1;
             }
-            chars[start..*pos].iter().collect::<String>().parse().unwrap_or(0)
+            chars[start..*pos]
+                .iter()
+                .collect::<String>()
+                .parse()
+                .unwrap_or(0)
         };
         let min = read_num(pos);
         let max = if chars[*pos] == ',' {
@@ -632,9 +640,7 @@ mod tests {
             assert!(s.len() <= 40);
             assert!(s
                 .chars()
-                .all(|c| c.is_ascii_lowercase()
-                    || c.is_ascii_digit()
-                    || "<>{}[]| .-".contains(c)));
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "<>{}[]| .-".contains(c)));
         }
     }
 
@@ -665,9 +671,11 @@ mod tests {
                 Tree::Node(cs) => 1 + cs.iter().map(depth).max().unwrap_or(0),
             }
         }
-        let strat = (0u64..100).prop_map(Tree::Leaf).prop_recursive(3, 16, 4, |inner| {
-            crate::collection::vec(inner, 1..4).prop_map(Tree::Node)
-        });
+        let strat = (0u64..100)
+            .prop_map(Tree::Leaf)
+            .prop_recursive(3, 16, 4, |inner| {
+                crate::collection::vec(inner, 1..4).prop_map(Tree::Node)
+            });
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..100 {
             // Each recursion level adds at most one Node layer.

@@ -28,9 +28,18 @@ struct Variant {
 
 #[derive(Debug)]
 enum Item {
-    Named { name: String, fields: Vec<Field> },
-    Tuple { name: String, arity: usize },
-    Enum { name: String, variants: Vec<Variant> },
+    Named {
+        name: String,
+        fields: Vec<Field>,
+    },
+    Tuple {
+        name: String,
+        arity: usize,
+    },
+    Enum {
+        name: String,
+        variants: Vec<Variant>,
+    },
 }
 
 #[proc_macro_derive(Serialize, attributes(serde))]
@@ -164,7 +173,9 @@ fn parse_fields(body: TokenStream) -> Vec<Field> {
         i += 1;
         match &toks[i] {
             TokenTree::Punct(p) if p.as_char() == ':' => i += 1,
-            other => panic!("serde stub derive: expected `:` after field `{ident}`, found {other:?}"),
+            other => {
+                panic!("serde stub derive: expected `:` after field `{ident}`, found {other:?}")
+            }
         }
 
         // Skip the type up to the next top-level comma.
@@ -217,7 +228,9 @@ fn parse_serde_attr(
         let value = if matches!(args.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
             let lit = match &args[i + 1] {
                 TokenTree::Literal(l) => l.to_string(),
-                other => panic!("serde stub derive: expected string after `{name} =`, found {other:?}"),
+                other => {
+                    panic!("serde stub derive: expected string after `{name} =`, found {other:?}")
+                }
             };
             i += 2;
             Some(lit.trim_matches('"').to_string())
@@ -270,9 +283,8 @@ fn parse_variants(body: TokenStream) -> Vec<Variant> {
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Named { name, fields } => {
-            let mut body = String::from(
-                "let mut entries: Vec<(String, ::serde::Value)> = Vec::new();\n",
-            );
+            let mut body =
+                String::from("let mut entries: Vec<(String, ::serde::Value)> = Vec::new();\n");
             for f in fields {
                 let push = format!(
                     "entries.push((\"{key}\".to_string(), ::serde::Serialize::to_value(&self.{id})));",
@@ -280,7 +292,10 @@ fn gen_serialize(item: &Item) -> String {
                     id = f.ident
                 );
                 if let Some(skip) = &f.skip_if {
-                    body.push_str(&format!("if !{skip}(&self.{id}) {{ {push} }}\n", id = f.ident));
+                    body.push_str(&format!(
+                        "if !{skip}(&self.{id}) {{ {push} }}\n",
+                        id = f.ident
+                    ));
                 } else {
                     body.push_str(&push);
                     body.push('\n');
@@ -310,8 +325,7 @@ fn gen_serialize(item: &Item) -> String {
                         var = v.ident
                     )),
                     Some(fields) => {
-                        let binds: Vec<&str> =
-                            fields.iter().map(|f| f.ident.as_str()).collect();
+                        let binds: Vec<&str> = fields.iter().map(|f| f.ident.as_str()).collect();
                         let mut inner = String::from(
                             "let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n",
                         );
@@ -402,10 +416,8 @@ fn gen_deserialize(item: &Item) -> String {
             if !units.is_empty() {
                 let mut unit_arms = String::new();
                 for v in &units {
-                    unit_arms.push_str(&format!(
-                        "\"{var}\" => Ok({name}::{var}),\n",
-                        var = v.ident
-                    ));
+                    unit_arms
+                        .push_str(&format!("\"{var}\" => Ok({name}::{var}),\n", var = v.ident));
                 }
                 arms.push_str(&format!(
                     "::serde::Value::Str(s) => match s.as_str() {{\n{unit_arms}\
@@ -417,8 +429,10 @@ fn gen_deserialize(item: &Item) -> String {
                 let mut tag_arms = String::new();
                 for v in &structs {
                     let fields = v.fields.as_ref().unwrap();
-                    let inits: Vec<String> =
-                        fields.iter().map(|f| field_expr("inner", name, f)).collect();
+                    let inits: Vec<String> = fields
+                        .iter()
+                        .map(|f| field_expr("inner", name, f))
+                        .collect();
                     tag_arms.push_str(&format!(
                         "\"{var}\" => Ok({name}::{var} {{ {inits} }}),\n",
                         var = v.ident,

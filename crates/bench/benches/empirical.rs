@@ -25,7 +25,10 @@ fn bench_empirical(c: &mut Criterion) {
     );
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     let vdm = a.build.vdm;
@@ -47,7 +50,10 @@ fn bench_empirical(c: &mut Criterion) {
         b.iter(|| {
             validate_config_files(
                 &vdm,
-                corpus.files.iter().map(|f| (f.name.as_str(), f.lines.as_slice())),
+                corpus
+                    .files
+                    .iter()
+                    .map(|f| (f.name.as_str(), f.lines.as_slice())),
             )
         })
     });

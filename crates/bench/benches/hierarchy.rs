@@ -26,7 +26,10 @@ fn parsed_pages(extra: usize) -> Vec<Arc<ParsedPage>> {
     );
     run_parser(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .pages
 }

@@ -35,7 +35,10 @@ fn bench_parsing(c: &mut Criterion) {
                         nassim_exec::with_threads(workers, || {
                             run_parser(
                                 parser.as_ref(),
-                                manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+                                manual
+                                    .pages
+                                    .iter()
+                                    .map(|p| (p.url.as_str(), p.html.as_str())),
                             )
                         })
                     },

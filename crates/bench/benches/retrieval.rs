@@ -40,13 +40,19 @@ fn bench_retrieval(c: &mut Criterion) {
     };
 
     let ir = Mapper::ir(udm);
-    c.bench_function("recommend_ir_top10", |b| b.iter(|| ir.recommend(&query, 10)));
+    c.bench_function("recommend_ir_top10", |b| {
+        b.iter(|| ir.recommend(&query, 10))
+    });
 
     let dl = Mapper::dl(udm, embedder.clone());
-    c.bench_function("recommend_dl_top10", |b| b.iter(|| dl.recommend(&query, 10)));
+    c.bench_function("recommend_dl_top10", |b| {
+        b.iter(|| dl.recommend(&query, 10))
+    });
 
     let irdl = Mapper::ir_dl(udm, embedder.clone(), 50);
-    c.bench_function("recommend_irdl50_top10", |b| b.iter(|| irdl.recommend(&query, 10)));
+    c.bench_function("recommend_irdl50_top10", |b| {
+        b.iter(|| irdl.recommend(&query, 10))
+    });
 
     // Retrieval modes over distractor-free synthetic leaves, a query
     // drawn from the synthetic vocabulary, queries pre-embedded so the
@@ -72,7 +78,10 @@ fn bench_retrieval(c: &mut Criterion) {
     for (name, mode) in [
         ("recommend_dl_10k_exact_top10", RetrievalMode::Exact),
         ("recommend_dl_10k_quantized_top10", RetrievalMode::Quantized),
-        ("recommend_dl_10k_ann_top10", RetrievalMode::Ann { probes: 0 }),
+        (
+            "recommend_dl_10k_ann_top10",
+            RetrievalMode::Ann { probes: 0 },
+        ),
     ] {
         let mapper = exact.with_retrieval_mode(mode);
         c.bench_function(name, |b| b.iter(|| mapper.recommend_prepared(prepared, 10)));

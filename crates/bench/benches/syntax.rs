@@ -10,7 +10,11 @@ use nassim_syntax::{parse_template, validate_template};
 
 fn bench_syntax(c: &mut Criterion) {
     let catalog = Catalog::with_scale(500);
-    let templates: Vec<String> = catalog.commands.iter().map(|x| x.template.clone()).collect();
+    let templates: Vec<String> = catalog
+        .commands
+        .iter()
+        .map(|x| x.template.clone())
+        .collect();
 
     let mut group = c.benchmark_group("syntax_validation");
     group.throughput(Throughput::Elements(templates.len() as u64));

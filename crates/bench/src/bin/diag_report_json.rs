@@ -33,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let a = assimilate(
         parser_for("helix")?.as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )?;
 
     if a.diagnostics.is_empty() {

@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{struc:#?}");
     println!();
     let graph = CliGraph::build(&struc);
-    println!("Figure 6 — CLI graph model ({} nodes) in GraphViz dot:", graph.len());
+    println!(
+        "Figure 6 — CLI graph model ({} nodes) in GraphViz dot:",
+        graph.len()
+    );
     println!("{}", graph.to_dot());
 
     println!("matching `{INSTANCE}`:");

@@ -37,7 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let a = assimilate(
             parser_for(vendor)?.as_ref(),
-            manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+            manual
+                .pages
+                .iter()
+                .map(|p| (p.url.as_str(), p.html.as_str())),
         )?;
 
         // Per-command corpus JSON, named by page key.
@@ -66,11 +69,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The UDM and the expert alignment annotations.
-    let data = udmgen::generate(&catalog, &udmgen::UdmGenOptions {
-        seed: SEED,
-        ..Default::default()
-    });
-    fs::write(out.join("udm.json"), serde_json::to_string_pretty(&data.udm)?)?;
+    let data = udmgen::generate(
+        &catalog,
+        &udmgen::UdmGenOptions {
+            seed: SEED,
+            ..Default::default()
+        },
+    );
+    fs::write(
+        out.join("udm.json"),
+        serde_json::to_string_pretty(&data.udm)?,
+    )?;
     fs::write(
         out.join("alignment.json"),
         serde_json::to_string_pretty(&data.alignment)?,

@@ -25,12 +25,18 @@ fn main() {
             })
             .collect(),
     );
-    row("FuncDef", vs.iter().map(|v| v.css.func_def.to_string()).collect());
+    row(
+        "FuncDef",
+        vs.iter().map(|v| v.css.func_def.to_string()).collect(),
+    );
     row(
         "ParentViews",
         vs.iter().map(|v| v.css.parent_views.to_string()).collect(),
     );
-    row("ParaDef", vs.iter().map(|v| v.css.para_def.to_string()).collect());
+    row(
+        "ParaDef",
+        vs.iter().map(|v| v.css.para_def.to_string()).collect(),
+    );
     row(
         "Examples",
         vs.iter()

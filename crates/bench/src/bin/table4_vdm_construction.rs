@@ -57,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let empirical = run.config_corpus.as_ref().map(|corpus| {
             let report = validate_config_files(
                 corrected_vdm,
-                corpus.files.iter().map(|f| (f.name.as_str(), f.lines.as_slice())),
+                corpus
+                    .files
+                    .iter()
+                    .map(|f| (f.name.as_str(), f.lines.as_slice())),
             );
             (report, corpus)
         });
@@ -120,7 +123,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "  {:<30} {}/{}",
-            "injected ambiguities caught", amb_detected, injected_amb.len()
+            "injected ambiguities caught",
+            amb_detected,
+            injected_amb.len()
         );
         println!(
             "  {:<30} {}",
@@ -134,12 +139,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some((rep, corpus)) = &empirical {
             println!(
                 "  {:<30} {} total / {} unique",
-                "config lines", rep.total_instances,
+                "config lines",
+                rep.total_instances,
                 corpus.unique_lines()
             );
             println!(
                 "  {:<30} {}",
-                "templates used by configs", rep.used_nodes.len()
+                "templates used by configs",
+                rep.used_nodes.len()
             );
         }
         if let Some(dev) = &device_stats {
@@ -153,15 +160,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("paper shape check:");
-    println!("  - helix/norsk models are 10-100× larger than cirrus/h4c: {}",
+    println!(
+        "  - helix/norsk models are 10-100× larger than cirrus/h4c: {}",
         columns[1].cli_view_pairs > 10 * columns[0].cli_view_pairs
-            && columns[2].cli_view_pairs > 10 * columns[3].cli_view_pairs);
-    println!("  - CLI-view pairs exceed CLI commands for every vendor: {}",
-        columns.iter().all(|c| c.cli_view_pairs >= c.views));
-    println!("  - config matching ratio is 100% where corpora exist: {}",
+            && columns[2].cli_view_pairs > 10 * columns[3].cli_view_pairs
+    );
+    println!(
+        "  - CLI-view pairs exceed CLI commands for every vendor: {}",
+        columns.iter().all(|c| c.cli_view_pairs >= c.views)
+    );
+    println!(
+        "  - config matching ratio is 100% where corpora exist: {}",
         columns
             .iter()
             .filter_map(|c| c.matching_ratio)
-            .all(|r| (r - 1.0).abs() < 1e-9));
+            .all(|r| (r - 1.0).abs() < 1e-9)
+    );
     Ok(())
 }

@@ -52,7 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("NetBERT≥SBERT", at10("NetBERT") + 1.0 >= at10("SBERT")),
             ("IR+NetBERT≥IR", at10("IR+NetBERT") >= at10("IR")),
         ];
-        let line: Vec<String> = checks.iter().map(|(name, ok)| format!("{name}: {ok}")).collect();
+        let line: Vec<String> = checks
+            .iter()
+            .map(|(name, ok)| format!("{name}: {ok}"))
+            .collect();
         println!("  [{setting}] {}", line.join(" | "));
         for (name, _) in checks.iter().filter(|(_, ok)| !ok) {
             failed.push(format!("[{setting}] {name}"));

@@ -76,7 +76,10 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
         || {
             assimilate(
                 parser.as_ref(),
-                manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+                manual
+                    .pages
+                    .iter()
+                    .map(|p| (p.url.as_str(), p.html.as_str())),
             )
         },
         || {
@@ -93,7 +96,10 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
             );
             assimilate(
                 parser.as_ref(),
-                clean_manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+                clean_manual
+                    .pages
+                    .iter()
+                    .map(|p| (p.url.as_str(), p.html.as_str())),
             )
         },
     );
@@ -190,50 +196,51 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
         let parser = parser_for(vendor)?;
         let a = assimilate(
             parser.as_ref(),
-            manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+            manual
+                .pages
+                .iter()
+                .map(|p| (p.url.as_str(), p.html.as_str())),
         )?;
         Ok(a.build.vdm)
     };
-    let (helix_vdm, norsk_vdm) =
-        nassim_exec::join2(|| build_vdm("helix"), || build_vdm("norsk"));
+    let (helix_vdm, norsk_vdm) = nassim_exec::join2(|| build_vdm("helix"), || build_vdm("norsk"));
     let mut vdms = BTreeMap::new();
     vdms.insert("helix", helix_vdm?);
     vdms.insert("norsk", norsk_vdm?);
 
     // Annotations per vendor: (command_key, vendor token, udm path).
-    let annotate = |vendor: &str,
-                    keep: Option<usize>|
-     -> Result<Vec<(String, String, String)>, NassimError> {
-        let style = style::vendor(vendor)?;
-        let full: Vec<_> = udm_data
-            .alignment
-            .iter()
-            .map(|a| {
-                (
-                    a.command_key.clone(),
-                    style.param(&a.canonical_param),
-                    a.udm_path.clone(),
-                )
+    let annotate =
+        |vendor: &str, keep: Option<usize>| -> Result<Vec<(String, String, String)>, NassimError> {
+            let style = style::vendor(vendor)?;
+            let full: Vec<_> = udm_data
+                .alignment
+                .iter()
+                .map(|a| {
+                    (
+                        a.command_key.clone(),
+                        style.param(&a.canonical_param),
+                        a.udm_path.clone(),
+                    )
+                })
+                .collect();
+            Ok(match keep {
+                Some(k) => {
+                    let entries: Vec<_> = udm_data.alignment.clone();
+                    let sampled = sample_annotations(&entries, k, SEED ^ fnv(vendor));
+                    sampled
+                        .iter()
+                        .map(|a| {
+                            (
+                                a.command_key.clone(),
+                                style.param(&a.canonical_param),
+                                a.udm_path.clone(),
+                            )
+                        })
+                        .collect()
+                }
+                None => full,
             })
-            .collect();
-        Ok(match keep {
-            Some(k) => {
-                let entries: Vec<_> = udm_data.alignment.clone();
-                let sampled = sample_annotations(&entries, k, SEED ^ fnv(vendor));
-                sampled
-                    .iter()
-                    .map(|a| {
-                        (
-                            a.command_key.clone(),
-                            style.param(&a.canonical_param),
-                            a.udm_path.clone(),
-                        )
-                    })
-                    .collect()
-            }
-            None => full,
-        })
-    };
+        };
     // helix: rich annotation set; norsk: scarce (paper: 381 vs 110 ⇒ keep
     // the same ~3.5:1 ratio).
     let helix_ann = annotate("helix", None)?;
@@ -294,12 +301,42 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
         });
         let entry = reports.entry(setting.to_string()).or_default();
         run_model(entry, "IR", Mapper::ir(udm), cases, ks);
-        run_model(entry, "SimCSE", Mapper::dl(udm, simcse_e.clone()), cases, ks);
+        run_model(
+            entry,
+            "SimCSE",
+            Mapper::dl(udm, simcse_e.clone()),
+            cases,
+            ks,
+        );
         run_model(entry, "SBERT", Mapper::dl(udm, sbert_e.clone()), cases, ks);
-        run_model(entry, "IR+SimCSE", Mapper::ir_dl(udm, simcse_e, 50), cases, ks);
-        run_model(entry, "IR+SBERT", Mapper::ir_dl(udm, sbert_e, 50), cases, ks);
-        run_model(entry, "NetBERT", Mapper::dl(udm, netbert_e.clone()), cases, ks);
-        run_model(entry, "IR+NetBERT", Mapper::ir_dl(udm, netbert_e, 50), cases, ks);
+        run_model(
+            entry,
+            "IR+SimCSE",
+            Mapper::ir_dl(udm, simcse_e, 50),
+            cases,
+            ks,
+        );
+        run_model(
+            entry,
+            "IR+SBERT",
+            Mapper::ir_dl(udm, sbert_e, 50),
+            cases,
+            ks,
+        );
+        run_model(
+            entry,
+            "NetBERT",
+            Mapper::dl(udm, netbert_e.clone()),
+            cases,
+            ks,
+        );
+        run_model(
+            entry,
+            "IR+NetBERT",
+            Mapper::ir_dl(udm, netbert_e, 50),
+            cases,
+            ks,
+        );
     }
     Ok(MappingOutcome {
         reports,

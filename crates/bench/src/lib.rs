@@ -10,6 +10,4 @@
 
 pub mod fixtures;
 
-pub use fixtures::{
-    construct_vendor, mapping_experiment, vendor_scale, MappingOutcome, VendorRun,
-};
+pub use fixtures::{construct_vendor, mapping_experiment, vendor_scale, MappingOutcome, VendorRun};

@@ -529,9 +529,7 @@ impl Catalog {
                     group: feat.to_string(),
                     template: format!("{feat} {obj}{suffix} <{obj}-id>"),
                     has_undo: true,
-                    func: format!(
-                        "Creates a {feat} {obj} and enters the {feat} {obj} view."
-                    ),
+                    func: format!("Creates a {feat} {obj} and enters the {feat} {obj} view."),
                     view: "system".to_string(),
                     also_views: Vec::new(),
                     opens: Some(view_key.clone()),
@@ -551,7 +549,11 @@ impl Catalog {
             // view, so large models reproduce the paper's CLI-view-pair
             // multiplicity.
             let also_views = if i % 3 == 2 {
-                prev_view.clone().filter(|v| *v != view).into_iter().collect()
+                prev_view
+                    .clone()
+                    .filter(|v| *v != view)
+                    .into_iter()
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -611,8 +613,12 @@ impl Catalog {
         let mut cur = view.to_string();
         while cur != "system" {
             let Some(vdef) = self.view(&cur) else { break };
-            let Some(opener_key) = &vdef.opener else { break };
-            let Some(opener) = self.command(opener_key) else { break };
+            let Some(opener_key) = &vdef.opener else {
+                break;
+            };
+            let Some(opener) = self.command(opener_key) else {
+                break;
+            };
             chain.push(opener);
             cur = vdef.parent.clone();
         }
@@ -629,7 +635,11 @@ mod tests {
     #[test]
     fn base_catalog_is_well_formed() {
         let cat = Catalog::base();
-        assert!(cat.commands.len() >= 70, "only {} commands", cat.commands.len());
+        assert!(
+            cat.commands.len() >= 70,
+            "only {} commands",
+            cat.commands.len()
+        );
         assert!(cat.views.len() >= 14);
         // Keys unique.
         let mut keys: Vec<&str> = cat.commands.iter().map(|c| c.key.as_str()).collect();
@@ -656,13 +666,26 @@ mod tests {
     fn every_view_reference_resolves() {
         let cat = Catalog::with_scale(100);
         for c in &cat.commands {
-            assert!(cat.view(&c.view).is_some(), "{} has unknown view {}", c.key, c.view);
+            assert!(
+                cat.view(&c.view).is_some(),
+                "{} has unknown view {}",
+                c.key,
+                c.view
+            );
             if let Some(opens) = &c.opens {
-                assert!(cat.view(opens).is_some(), "{} opens unknown view {opens}", c.key);
+                assert!(
+                    cat.view(opens).is_some(),
+                    "{} opens unknown view {opens}",
+                    c.key
+                );
             }
         }
         for v in &cat.views {
-            assert!(cat.view(&v.parent).is_some(), "view {} has unknown parent", v.key);
+            assert!(
+                cat.view(&v.parent).is_some(),
+                "view {} has unknown parent",
+                v.key
+            );
             if let Some(op) = &v.opener {
                 let opener = cat.command(op).expect("opener exists");
                 assert_eq!(opener.opens.as_deref(), Some(v.key.as_str()));
@@ -675,7 +698,12 @@ mod tests {
         let cat = Catalog::with_scale(50);
         for c in &cat.commands {
             for p in &c.params {
-                assert!(!p.description.is_empty(), "{}: param {} undocumented", c.key, p.name);
+                assert!(
+                    !p.description.is_empty(),
+                    "{}: param {} undocumented",
+                    c.key,
+                    p.name
+                );
             }
         }
     }

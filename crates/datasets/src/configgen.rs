@@ -207,12 +207,10 @@ fn emit_stanza(
     rng: &mut StdRng,
 ) {
     let indent = " ".repeat(depth);
-    let works_in = |c: &CatalogCommand, view: &str| {
-        c.view == view || c.also_views.iter().any(|v| v == view)
-    };
+    let works_in =
+        |c: &CatalogCommand, view: &str| c.view == view || c.also_views.iter().any(|v| v == view);
     // Pick: leaf instance(s) in this view, or descend through an opener.
-    let view_leaves: Vec<&&CatalogCommand> =
-        leaves.iter().filter(|c| works_in(c, view)).collect();
+    let view_leaves: Vec<&&CatalogCommand> = leaves.iter().filter(|c| works_in(c, view)).collect();
     let view_openers: Vec<&&CatalogCommand> =
         openers.iter().filter(|c| works_in(c, view)).collect();
 
@@ -221,8 +219,7 @@ fn emit_stanza(
         let opener = view_openers[rng.gen_range(0..view_openers.len())];
         // Every active opener has a graph and an opened view by
         // construction; bail out of the stanza rather than panic if not.
-        let (Some(g), Some(opened)) =
-            (graphs.get(opener.key.as_str()), opener.opens.as_deref())
+        let (Some(g), Some(opened)) = (graphs.get(opener.key.as_str()), opener.opens.as_deref())
         else {
             return;
         };
@@ -296,7 +293,10 @@ mod tests {
         let (c, _, _) = corpus(3);
         for f in &c.files {
             for l in &f.lines {
-                assert!(!l.trim_start().starts_with("display "), "operational cmd in config: {l}");
+                assert!(
+                    !l.trim_start().starts_with("display "),
+                    "operational cmd in config: {l}"
+                );
             }
         }
     }
@@ -310,9 +310,7 @@ mod tests {
             .commands
             .iter()
             .map(|cmd| {
-                CliGraph::build(
-                    &parse_template(&style.render_template(&cmd.template)).unwrap(),
-                )
+                CliGraph::build(&parse_template(&style.render_template(&cmd.template)).unwrap())
             })
             .collect();
         for f in &c.files {

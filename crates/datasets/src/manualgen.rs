@@ -187,7 +187,14 @@ pub fn generate(style: &VendorStyle, catalog: &Catalog, opts: &GenOptions) -> Ma
 
             // Example snippets (or explicit context for norsk-style vendors).
             let examples = if style.hierarchy == HierarchyStyle::Examples {
-                build_examples(style, catalog, cmd, misleads[i], opts.examples_per_page, &mut rng)
+                build_examples(
+                    style,
+                    catalog,
+                    cmd,
+                    misleads[i],
+                    opts.examples_per_page,
+                    &mut rng,
+                )
             } else {
                 Vec::new()
             };
@@ -226,7 +233,12 @@ fn corrupt_template(template: &str, rng: &mut StdRng) -> (String, String) {
     let closer_pos = template.rfind(['}', ']']);
     let placeholder_pos = template.find('>');
     let choices: Vec<&str> = match (closer_pos.is_some(), placeholder_pos.is_some()) {
-        (true, true) => vec!["drop-close", "stray-close", "swap-close", "break-placeholder"],
+        (true, true) => vec![
+            "drop-close",
+            "stray-close",
+            "swap-close",
+            "break-placeholder",
+        ],
         (true, false) => vec!["drop-close", "stray-close", "swap-close"],
         (false, true) => vec!["stray-close", "break-placeholder"],
         (false, false) => vec!["stray-close"],
@@ -328,7 +340,11 @@ fn instance_line(
 ) -> Option<String> {
     let rendered = style.render_template(template);
     let graph = CliGraph::build(&parse_template(&rendered).ok()?);
-    Some(format!("{}{}", " ".repeat(depth), sample_instance(&graph, rng)))
+    Some(format!(
+        "{}{}",
+        " ".repeat(depth),
+        sample_instance(&graph, rng)
+    ))
 }
 
 /// The vendor view names a command works under, primary first.
@@ -393,7 +409,9 @@ fn examples_pre(examples: &[Vec<String>]) -> String {
 /// `nassim_html::entities::encode_text`, duplicated to avoid a dependency
 /// cycle — datasets must not depend on the parser stack).
 fn nassim_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 fn preface_page(style: &VendorStyle) -> ManualPage {
@@ -426,7 +444,12 @@ fn render_cirrus(
     let clis_class = style.clis_class(rng.gen::<f64>());
     let clis_html = cli_forms
         .iter()
-        .map(|f| format!(r#"<p class="{clis_class}">{}</p>"#, render_cli_spans(style, f, rng)))
+        .map(|f| {
+            format!(
+                r#"<p class="{clis_class}">{}</p>"#,
+                render_cli_spans(style, f, rng)
+            )
+        })
         .collect::<Vec<_>>()
         .join("\n");
     let params_html = para_rows(style, cmd)
@@ -474,7 +497,12 @@ fn render_helix(
 ) -> String {
     let clis_html = cli_forms
         .iter()
-        .map(|f| format!(r#"<p class="cmd-line">{}</p>"#, render_cli_spans(style, f, rng)))
+        .map(|f| {
+            format!(
+                r#"<p class="cmd-line">{}</p>"#,
+                render_cli_spans(style, f, rng)
+            )
+        })
         .collect::<Vec<_>>()
         .join("\n");
     let params_html = para_rows(style, cmd)
@@ -555,7 +583,12 @@ fn render_norsk(
     };
     let clis_html = cli_forms
         .iter()
-        .map(|f| format!(r#"<p class="CmdSyntax">{}</p>"#, render_cli_spans(style, f, rng)))
+        .map(|f| {
+            format!(
+                r#"<p class="CmdSyntax">{}</p>"#,
+                render_cli_spans(style, f, rng)
+            )
+        })
         .collect::<Vec<_>>()
         .join("\n");
     let params_html = para_rows(style, cmd)
@@ -604,7 +637,12 @@ fn render_h4c(
 ) -> String {
     let clis_html = cli_forms
         .iter()
-        .map(|f| format!(r#"<p class="cmd-syntax">{}</p>"#, render_cli_spans(style, f, rng)))
+        .map(|f| {
+            format!(
+                r#"<p class="cmd-syntax">{}</p>"#,
+                render_cli_spans(style, f, rng)
+            )
+        })
         .collect::<Vec<_>>()
         .join("\n");
     let params_html = para_rows(style, cmd)
@@ -734,22 +772,33 @@ mod tests {
             .find(|p| p.command_key == "bgp.peer-as")
             .unwrap();
         assert!(page.html.contains("example-snippet"));
-        assert!(page.html.contains("\n peer "), "no indented instance:\n{}", page.html);
+        assert!(
+            page.html.contains("\n peer "),
+            "no indented instance:\n{}",
+            page.html
+        );
         assert!(page.html.contains("bgp "));
     }
 
     #[test]
     fn norsk_has_context_instead_of_examples() {
         let m = small_manual("norsk", 5);
-        assert!(m.ambiguous_views().is_empty(), "norsk must not get ambiguity injection");
+        assert!(
+            m.ambiguous_views().is_empty(),
+            "norsk must not get ambiguity injection"
+        );
         let page = m
             .pages
             .iter()
             .find(|p| p.command_key == "bgp.af-pref")
             .unwrap();
         assert!(page.html.contains("CmdContext"));
-        assert!(page.html.contains("configure &gt; configure BGP") || page.html.contains("configure > configure BGP"),
-            "context path missing:\n{}", page.html);
+        assert!(
+            page.html.contains("configure &gt; configure BGP")
+                || page.html.contains("configure > configure BGP"),
+            "context path missing:\n{}",
+            page.html
+        );
         assert!(!page.html.contains("example-snippet"));
     }
 
@@ -766,7 +815,10 @@ mod tests {
                 ..GenOptions::default()
             },
         );
-        assert!(!m.ambiguous_views().is_empty(), "seed produced no ambiguity");
+        assert!(
+            !m.ambiguous_views().is_empty(),
+            "seed produced no ambiguity"
+        );
         for v in m.ambiguous_views() {
             assert!(m.catalog.view(v).is_some());
         }

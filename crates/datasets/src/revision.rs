@@ -119,7 +119,11 @@ pub fn apply_edit_plan(catalog: &Catalog, plan: &EditPlan) -> (Catalog, Revision
         report.added.push(key.clone());
         revised.commands.push(CatalogCommand {
             key,
-            func: format!("{} Added in manual update {}.", donor.func.trim_end(), plan.seed),
+            func: format!(
+                "{} Added in manual update {}.",
+                donor.func.trim_end(),
+                plan.seed
+            ),
             ..donor
         });
     }

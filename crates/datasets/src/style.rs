@@ -279,7 +279,11 @@ impl VendorStyle {
     /// The undo/no form of a rendered template (documented alongside the
     /// positive form on the same manual page).
     pub fn render_undo(&self, canonical_template: &str) -> String {
-        format!("{} {}", self.undo_keyword, self.render_template(canonical_template))
+        format!(
+            "{} {}",
+            self.undo_keyword,
+            self.render_template(canonical_template)
+        )
     }
 
     /// Render a view key (e.g. `bgp-af-view`) into this vendor's view
@@ -310,7 +314,10 @@ impl VendorStyle {
         } else if self.func_prefix == "Use this command to" {
             // "Creates a VLAN." → "Use this command to create a VLAN."
             let mut chars = canonical_func.chars();
-            let first = chars.next().map(|c| c.to_lowercase().to_string()).unwrap_or_default();
+            let first = chars
+                .next()
+                .map(|c| c.to_lowercase().to_string())
+                .unwrap_or_default();
             let rest = chars.as_str();
             let lowered = format!("{first}{rest}");
             let softened = soften_third_person(&lowered);
@@ -318,7 +325,10 @@ impl VendorStyle {
         } else {
             // "Creates a VLAN." → "This command creates a VLAN."
             let mut chars = canonical_func.chars();
-            let first = chars.next().map(|c| c.to_lowercase().to_string()).unwrap_or_default();
+            let first = chars
+                .next()
+                .map(|c| c.to_lowercase().to_string())
+                .unwrap_or_default();
             format!("{} {}{}", self.func_prefix, first, chars.as_str())
         }
     }
@@ -424,8 +434,14 @@ mod tests {
     fn undo_forms_differ_per_vendor() {
         let cat = Catalog::base();
         let vlan = cat.command("vlan.create").unwrap();
-        assert!(vendor("cirrus").unwrap().render_undo(&vlan.template).starts_with("no "));
-        assert!(vendor("helix").unwrap().render_undo(&vlan.template).starts_with("undo "));
+        assert!(vendor("cirrus")
+            .unwrap()
+            .render_undo(&vlan.template)
+            .starts_with("no "));
+        assert!(vendor("helix")
+            .unwrap()
+            .render_undo(&vlan.template)
+            .starts_with("undo "));
     }
 
     #[test]
@@ -459,7 +475,10 @@ mod tests {
             vendor("cirrus").unwrap().view_name("bgp-view"),
             "BGP configuration mode"
         );
-        assert_eq!(vendor("norsk").unwrap().view_name("bgp-view"), "configure BGP");
+        assert_eq!(
+            vendor("norsk").unwrap().view_name("bgp-view"),
+            "configure BGP"
+        );
         assert_eq!(vendor("helix").unwrap().view_name("system"), "system view");
     }
 

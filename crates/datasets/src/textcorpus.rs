@@ -100,11 +100,10 @@ mod tests {
         for p in pairs.iter().filter(|p| p.label == 1.0) {
             // A paraphrase keeps at least one non-stopword in common.
             let a_words: Vec<&str> = p.a.split_whitespace().collect();
-            let common = p
-                .b
-                .split_whitespace()
-                .filter(|w| w.len() > 3 && a_words.contains(w))
-                .count();
+            let common =
+                p.b.split_whitespace()
+                    .filter(|w| w.len() > 3 && a_words.contains(w))
+                    .count();
             assert!(common >= 1, "no overlap: `{}` vs `{}`", p.a, p.b);
         }
     }

@@ -217,14 +217,19 @@ fn add_protocol_mirrors(udm: &mut Udm, rng: &mut StdRng) {
         .into_iter()
         .map(|l| {
             let n = udm.node(l);
-            (udm.path_of(l), n.name.clone(), n.description.clone(), n.value_type.clone())
+            (
+                udm.path_of(l),
+                n.name.clone(),
+                n.description.clone(),
+                n.value_type.clone(),
+            )
         })
         .collect();
     for (path, name, desc, ty) in real {
         let mut segs: Vec<&str> = path.split('/').collect();
         segs.pop(); // drop the leaf name
-        // Replace the protocol segment where present, else nest the whole
-        // container under a mirror area.
+                    // Replace the protocol segment where present, else nest the whole
+                    // container under a mirror area.
         for proto in MIRROR_PROTOS {
             if !rng.gen_bool(0.8) {
                 continue; // ~5 mirrors per leaf on average
@@ -232,7 +237,13 @@ fn add_protocol_mirrors(udm: &mut Udm, rng: &mut StdRng) {
             let mirrored: Vec<String> = if segs.len() >= 2 && segs[0] == "protocols" {
                 segs.iter()
                     .enumerate()
-                    .map(|(i, s)| if i == 1 { proto.to_string() } else { s.to_string() })
+                    .map(|(i, s)| {
+                        if i == 1 {
+                            proto.to_string()
+                        } else {
+                            s.to_string()
+                        }
+                    })
                     .collect()
             } else {
                 std::iter::once(proto.to_string())
@@ -298,7 +309,14 @@ fn add_synthetic_leaves(udm: &mut Udm, count: usize, rng: &mut StdRng) {
         return;
     }
     let root = udm.ensure_path(&["synthetic"]);
-    let verbs = ["Limits", "Selects", "Schedules", "Shapes", "Meters", "Audits"];
+    let verbs = [
+        "Limits",
+        "Selects",
+        "Schedules",
+        "Shapes",
+        "Meters",
+        "Audits",
+    ];
     let mut bucket = root;
     for i in 0..count {
         if i % BUCKET == 0 {
@@ -357,7 +375,11 @@ mod tests {
     #[test]
     fn udm_covers_catalog_features_plus_distractors() {
         let d = dataset(1, 0.6);
-        assert!(d.udm.leaves().len() > 60, "only {} leaves", d.udm.leaves().len());
+        assert!(
+            d.udm.leaves().len() > 60,
+            "only {} leaves",
+            d.udm.leaves().len()
+        );
         assert!(d.udm.lookup("protocols/bgp/neighbor/peer-as").is_some());
         assert!(d.udm.lookup("vlans/vlan/vlan-id").is_some());
         assert!(d.udm.lookup("extensions").is_some());
@@ -368,9 +390,10 @@ mod tests {
         let d = dataset(2, 0.6);
         assert!(!d.alignment.is_empty());
         for a in &d.alignment {
-            let id = d.udm.lookup(&a.udm_path).unwrap_or_else(|| {
-                panic!("alignment path {} does not resolve", a.udm_path)
-            });
+            let id = d
+                .udm
+                .lookup(&a.udm_path)
+                .unwrap_or_else(|| panic!("alignment path {} does not resolve", a.udm_path));
             assert!(d.udm.node(id).is_leaf());
         }
     }
@@ -396,8 +419,10 @@ mod tests {
         let paths: Vec<&str> = d
             .alignment
             .iter()
-            .filter(|a| a.canonical_param == "peer-address"
-                && (a.command_key == "bgp.peer-as" || a.command_key == "bgp.peer-group"))
+            .filter(|a| {
+                a.canonical_param == "peer-address"
+                    && (a.command_key == "bgp.peer-as" || a.command_key == "bgp.peer-group")
+            })
             .map(|a| a.udm_path.as_str())
             .collect();
         assert_eq!(paths.len(), 2);
@@ -413,7 +438,10 @@ mod tests {
         let catalog_desc = &cat.command("bgp.peer-as").unwrap().params[1].description;
         assert_ne!(udm_desc, catalog_desc);
         // But the domain term survives paraphrasing.
-        assert!(udm_desc.contains("autonomous") || udm_desc.contains("system"), "{udm_desc}");
+        assert!(
+            udm_desc.contains("autonomous") || udm_desc.contains("system"),
+            "{udm_desc}"
+        );
     }
 
     #[test]
@@ -427,7 +455,10 @@ mod tests {
             desc.contains("Specifies the identifier of the VLAN."),
             "lead sentence lost: {desc}"
         );
-        assert!(desc.contains("Range: 1-4094."), "range rewrite lost: {desc}");
+        assert!(
+            desc.contains("Range: 1-4094."),
+            "range rewrite lost: {desc}"
+        );
         // The manual's verbose range phrasing must be gone.
         assert!(!desc.contains("in the range"), "{desc}");
     }

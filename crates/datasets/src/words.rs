@@ -47,24 +47,86 @@ pub const SYNONYM_SETS: &[&[&str]] = &[
 
 /// Feature-ish nouns used to mint procedural filler commands at scale.
 pub const FEATURE_WORDS: &[&str] = &[
-    "arp", "nd", "icmp", "igmp", "pim", "msdp", "rip", "ldp", "rsvp", "te",
-    "bfd", "nqa", "sflow", "netstream", "erps", "smart-link", "dldp", "efm",
-    "cfm", "y1731", "ptp", "synce", "poe", "voice", "multicast", "anycast",
-    "underlay", "overlay", "segment", "flow", "telemetry", "twamp",
+    "arp",
+    "nd",
+    "icmp",
+    "igmp",
+    "pim",
+    "msdp",
+    "rip",
+    "ldp",
+    "rsvp",
+    "te",
+    "bfd",
+    "nqa",
+    "sflow",
+    "netstream",
+    "erps",
+    "smart-link",
+    "dldp",
+    "efm",
+    "cfm",
+    "y1731",
+    "ptp",
+    "synce",
+    "poe",
+    "voice",
+    "multicast",
+    "anycast",
+    "underlay",
+    "overlay",
+    "segment",
+    "flow",
+    "telemetry",
+    "twamp",
 ];
 
 /// Object nouns for procedural commands.
 pub const OBJECT_WORDS: &[&str] = &[
-    "session", "group", "policy", "profile", "template", "instance", "zone",
-    "filter", "map", "class", "queue", "scheduler", "pool", "binding",
-    "tracker", "probe", "listener", "target", "entry", "peer",
+    "session",
+    "group",
+    "policy",
+    "profile",
+    "template",
+    "instance",
+    "zone",
+    "filter",
+    "map",
+    "class",
+    "queue",
+    "scheduler",
+    "pool",
+    "binding",
+    "tracker",
+    "probe",
+    "listener",
+    "target",
+    "entry",
+    "peer",
 ];
 
 /// Attribute nouns for procedural commands.
 pub const ATTR_WORDS: &[&str] = &[
-    "timeout", "interval", "threshold", "priority", "weight", "cost",
-    "limit", "rate", "burst", "depth", "length", "ttl", "retries", "delay",
-    "jitter", "budget", "window", "period", "quota", "offset",
+    "timeout",
+    "interval",
+    "threshold",
+    "priority",
+    "weight",
+    "cost",
+    "limit",
+    "rate",
+    "burst",
+    "depth",
+    "length",
+    "ttl",
+    "retries",
+    "delay",
+    "jitter",
+    "budget",
+    "window",
+    "period",
+    "quota",
+    "offset",
 ];
 
 /// Paraphrase `text` by substituting whole-word synonyms. `strength` in
@@ -89,7 +151,12 @@ pub fn paraphrase<R: Rng + ?Sized>(text: &str, strength: f64, rng: &mut R) -> St
         match replacement {
             Some(mut r) => {
                 // Preserve initial capitalisation.
-                if trimmed.chars().next().map(|c| c.is_uppercase()).unwrap_or(false) {
+                if trimmed
+                    .chars()
+                    .next()
+                    .map(|c| c.is_uppercase())
+                    .unwrap_or(false)
+                {
                     let mut chars = r.chars();
                     if let Some(first) = chars.next() {
                         r = first.to_uppercase().collect::<String>() + chars.as_str();

@@ -50,9 +50,7 @@ fn oversized(max_bytes: usize) -> io::Error {
 fn frame_from_bytes(buf: Vec<u8>) -> io::Result<Frame> {
     let text = String::from_utf8(buf)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 frame: {e}")))?;
-    Ok(Frame::Line(
-        text.trim_end_matches(['\r', '\n']).to_string(),
-    ))
+    Ok(Frame::Line(text.trim_end_matches(['\r', '\n']).to_string()))
 }
 
 /// Read one `\n`-terminated frame from `r`, blocking until it is
@@ -121,7 +119,10 @@ impl FrameAccumulator {
             let chunk = match r.fill_buf() {
                 Ok(chunk) => chunk,
                 Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
                 {
                     return Ok(None);
                 }

@@ -149,8 +149,10 @@ mod tests {
     fn builds_views_and_commands() {
         let mut m = DeviceModel::new("system");
         m.add_view("bgp-view", "system").unwrap();
-        m.add_command("system", "bgp <as-number>", Some("bgp-view")).unwrap();
-        m.add_command("bgp-view", "router-id <ipv4-address>", None).unwrap();
+        m.add_command("system", "bgp <as-number>", Some("bgp-view"))
+            .unwrap();
+        m.add_command("bgp-view", "router-id <ipv4-address>", None)
+            .unwrap();
         assert_eq!(m.view_count(), 2);
         assert_eq!(m.command_count(), 2);
         assert_eq!(m.parent_of("bgp-view"), Some("system"));
@@ -165,7 +167,10 @@ mod tests {
             Err(ModelError::UnknownView("nope".into()))
         );
         m.add_view("x", "system").unwrap();
-        assert_eq!(m.add_view("x", "system"), Err(ModelError::DuplicateView("x".into())));
+        assert_eq!(
+            m.add_view("x", "system"),
+            Err(ModelError::DuplicateView("x".into()))
+        );
         assert_eq!(
             m.add_command("nope", "a", None),
             Err(ModelError::UnknownView("nope".into()))

@@ -82,7 +82,10 @@ impl Response {
         }
         if let Some(n) = head.strip_prefix('*') {
             let n: usize = n.parse().map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad count line: {head}"))
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad count line: {head}"),
+                )
             })?;
             // A corrupted or hostile count line must not drive a huge
             // allocation or an unbounded read loop.
@@ -152,11 +155,23 @@ mod tests {
     #[test]
     fn multiple_responses_stream() {
         let mut buf = Vec::new();
-        Response::Ok { view: "a".into() }.write_to(&mut buf).unwrap();
-        Response::Err { message: "x".into() }.write_to(&mut buf).unwrap();
+        Response::Ok { view: "a".into() }
+            .write_to(&mut buf)
+            .unwrap();
+        Response::Err {
+            message: "x".into(),
+        }
+        .write_to(&mut buf)
+        .unwrap();
         let mut r = BufReader::new(buf.as_slice());
-        assert!(matches!(Response::read_from(&mut r).unwrap(), Response::Ok { .. }));
-        assert!(matches!(Response::read_from(&mut r).unwrap(), Response::Err { .. }));
+        assert!(matches!(
+            Response::read_from(&mut r).unwrap(),
+            Response::Ok { .. }
+        ));
+        assert!(matches!(
+            Response::read_from(&mut r).unwrap(),
+            Response::Err { .. }
+        ));
     }
 
     #[test]
@@ -189,7 +204,10 @@ mod tests {
         // Head cut off mid-token (EOF before the newline).
         assert_eq!(kind_of(b"+OK vi"), std::io::ErrorKind::InvalidData);
         // Output block shorter than declared.
-        assert_eq!(kind_of(b"*3\none\ntwo\n"), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            kind_of(b"*3\none\ntwo\n"),
+            std::io::ErrorKind::UnexpectedEof
+        );
         // Count line truncated to bare `*`.
         assert_eq!(kind_of(b"*\n"), std::io::ErrorKind::InvalidData);
     }
@@ -198,7 +216,10 @@ mod tests {
     fn oversized_output_blocks_are_rejected_without_allocating() {
         // Within usize range but far past the cap: must be InvalidData,
         // not a multi-gigabyte Vec reservation.
-        assert_eq!(kind_of(b"*9999999999\nx\n"), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            kind_of(b"*9999999999\nx\n"),
+            std::io::ErrorKind::InvalidData
+        );
         // Count overflowing usize entirely.
         assert_eq!(
             kind_of(b"*99999999999999999999999999\n"),
@@ -211,8 +232,14 @@ mod tests {
 
     #[test]
     fn non_utf8_bytes_are_typed_errors() {
-        assert_eq!(kind_of(b"+OK view=\xff\xfe\n"), std::io::ErrorKind::InvalidData);
-        assert_eq!(kind_of(b"\xf0\x28\x8c\x28\n"), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            kind_of(b"+OK view=\xff\xfe\n"),
+            std::io::ErrorKind::InvalidData
+        );
+        assert_eq!(
+            kind_of(b"\xf0\x28\x8c\x28\n"),
+            std::io::ErrorKind::InvalidData
+        );
         // Non-UTF-8 inside an output block.
         assert_eq!(kind_of(b"*1\n\xff\xff\n"), std::io::ErrorKind::InvalidData);
     }

@@ -160,10 +160,16 @@ impl fmt::Display for ResilienceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResilienceError::Exhausted { op, attempts, last } => {
-                write!(f, "`{op}` exhausted after {attempts} retries (last: {last})")
+                write!(
+                    f,
+                    "`{op}` exhausted after {attempts} retries (last: {last})"
+                )
             }
             ResilienceError::CircuitOpen { op } => {
-                write!(f, "`{op}` not attempted: retry budget exhausted (circuit open)")
+                write!(
+                    f,
+                    "`{op}` not attempted: retry budget exhausted (circuit open)"
+                )
             }
             ResilienceError::Fatal { op, reason } => write!(f, "`{op}` failed: {reason}"),
         }

@@ -238,9 +238,12 @@ mod tests {
     fn model() -> Arc<DeviceModel> {
         let mut m = DeviceModel::new("system");
         m.add_view("bgp-view", "system").unwrap();
-        m.add_command("system", "bgp <as-number>", Some("bgp-view")).unwrap();
-        m.add_command("bgp-view", "router-id <ipv4-address>", None).unwrap();
-        m.add_command("system", "sysname <host-name>", None).unwrap();
+        m.add_command("system", "bgp <as-number>", Some("bgp-view"))
+            .unwrap();
+        m.add_command("bgp-view", "router-id <ipv4-address>", None)
+            .unwrap();
+        m.add_command("system", "sysname <host-name>", None)
+            .unwrap();
         Arc::new(m)
     }
 
@@ -250,11 +253,15 @@ mod tests {
         let mut client = DeviceClient::connect(server.addr()).unwrap();
         assert_eq!(
             client.exec("bgp 65001").unwrap(),
-            Response::Ok { view: "bgp-view".into() }
+            Response::Ok {
+                view: "bgp-view".into()
+            }
         );
         assert_eq!(
             client.exec("router-id 1.1.1.1").unwrap(),
-            Response::Ok { view: "bgp-view".into() }
+            Response::Ok {
+                view: "bgp-view".into()
+            }
         );
         match client.exec("display current-configuration").unwrap() {
             Response::Output { lines } => {
@@ -341,7 +348,9 @@ mod tests {
         let mut client = DeviceClient::connect(server.addr()).unwrap();
         assert_eq!(
             client.exec("sysname core1").unwrap(),
-            Response::Ok { view: "system".into() }
+            Response::Ok {
+                view: "system".into()
+            }
         );
         // Any recorded session errors are typed Device/Io errors, and the
         // log drains.

@@ -25,7 +25,11 @@ pub struct CommandError {
 
 impl fmt::Display for CommandError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "error in {}: {} ({})", self.view, self.message, self.input)
+        write!(
+            f,
+            "error in {}: {} ({})",
+            self.view, self.message, self.input
+        )
     }
 }
 
@@ -190,15 +194,26 @@ mod tests {
         m.add_view("bgp-view", "system").unwrap();
         m.add_view("bgp-af-view", "bgp-view").unwrap();
         m.add_view("vlan-view", "system").unwrap();
-        m.add_command("system", "bgp <as-number>", Some("bgp-view")).unwrap();
-        m.add_command("system", "vlan <vlan-id>", Some("vlan-view")).unwrap();
-        m.add_command("system", "sysname <host-name>", None).unwrap();
-        m.add_command("bgp-view", "router-id <ipv4-address>", None).unwrap();
-        m.add_command("bgp-view", "peer <ipv4-address> as-number <as-number>", None)
+        m.add_command("system", "bgp <as-number>", Some("bgp-view"))
             .unwrap();
-        m.add_command("bgp-view", "ipv4-family unicast", Some("bgp-af-view")).unwrap();
-        m.add_command("bgp-af-view", "preference <preference>", None).unwrap();
-        m.add_command("vlan-view", "description <text>", None).unwrap();
+        m.add_command("system", "vlan <vlan-id>", Some("vlan-view"))
+            .unwrap();
+        m.add_command("system", "sysname <host-name>", None)
+            .unwrap();
+        m.add_command("bgp-view", "router-id <ipv4-address>", None)
+            .unwrap();
+        m.add_command(
+            "bgp-view",
+            "peer <ipv4-address> as-number <as-number>",
+            None,
+        )
+        .unwrap();
+        m.add_command("bgp-view", "ipv4-family unicast", Some("bgp-af-view"))
+            .unwrap();
+        m.add_command("bgp-af-view", "preference <preference>", None)
+            .unwrap();
+        m.add_command("vlan-view", "description <text>", None)
+            .unwrap();
         m
     }
 

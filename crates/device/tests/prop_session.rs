@@ -12,11 +12,16 @@ fn model() -> DeviceModel {
     let mut m = DeviceModel::new("system");
     m.add_view("bgp-view", "system").unwrap();
     m.add_view("vlan-view", "system").unwrap();
-    m.add_command("system", "bgp <as-number>", Some("bgp-view")).unwrap();
-    m.add_command("system", "vlan <vlan-id>", Some("vlan-view")).unwrap();
-    m.add_command("system", "sysname <host-name>", None).unwrap();
-    m.add_command("bgp-view", "router-id <ipv4-address>", None).unwrap();
-    m.add_command("vlan-view", "description <text>", None).unwrap();
+    m.add_command("system", "bgp <as-number>", Some("bgp-view"))
+        .unwrap();
+    m.add_command("system", "vlan <vlan-id>", Some("vlan-view"))
+        .unwrap();
+    m.add_command("system", "sysname <host-name>", None)
+        .unwrap();
+    m.add_command("bgp-view", "router-id <ipv4-address>", None)
+        .unwrap();
+    m.add_command("vlan-view", "description <text>", None)
+        .unwrap();
     m
 }
 

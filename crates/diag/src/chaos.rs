@@ -230,11 +230,18 @@ mod tests {
         (0..3).for_each(|_| assert!(rng.gen_bool(1.0)));
         let expected: f64 = rng.gen_range(0.0..1.0);
         let mut seen = None;
-        let hit = SeededPlan::<Class>::uniform(5, 1.0).decide_where("x", |_| true, |rng, _| {
-            seen = Some(rng.gen_range(0.0..1.0));
-            None
-        });
-        assert_eq!((hit.map(|i| i.kind), seen), (Some(Class::A), Some(expected)));
+        let hit = SeededPlan::<Class>::uniform(5, 1.0).decide_where(
+            "x",
+            |_| true,
+            |rng, _| {
+                seen = Some(rng.gen_range(0.0..1.0));
+                None
+            },
+        );
+        assert_eq!(
+            (hit.map(|i| i.kind), seen),
+            (Some(Class::A), Some(expected))
+        );
         let only_b = SeededPlan::only(5, Class::B, 1.0);
         assert!(run(&only_b, 20).iter().all(|d| *d == Some(Class::B)));
     }
@@ -244,10 +251,14 @@ mod tests {
         // A and B always hit, C never draws.
         let plan = SeededPlan::<Class>::with_rates(1, vec![1.0, 1.0, 0.0]);
         let mut trailed = false;
-        let miss = plan.decide_where("x", |k| k == Class::C, |_, hit| {
-            trailed = hit.is_none();
-            Some(3)
-        });
+        let miss = plan.decide_where(
+            "x",
+            |k| k == Class::C,
+            |_, hit| {
+                trailed = hit.is_none();
+                Some(3)
+            },
+        );
         assert_eq!(miss, None);
         assert!(trailed);
         // B wins over the filtered-out A and keeps the trailing offset.

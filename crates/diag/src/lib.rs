@@ -500,7 +500,10 @@ impl fmt::Display for NassimError {
                  older than this build's {expected}"
             ),
             NassimError::CrashInjected { path, point } => {
-                write!(f, "injected crash at kill point `{point}` while persisting `{path}`")
+                write!(
+                    f,
+                    "injected crash at kill point `{point}` while persisting `{path}`"
+                )
             }
             NassimError::JournalTorn {
                 path,
@@ -536,7 +539,10 @@ mod tests {
         sink.error(Stage::Parse, "e");
         let report = sink.into_report();
         let sev: Vec<Severity> = report.diagnostics.iter().map(|d| d.severity).collect();
-        assert_eq!(sev, vec![Severity::Error, Severity::Warning, Severity::Note]);
+        assert_eq!(
+            sev,
+            vec![Severity::Error, Severity::Warning, Severity::Note]
+        );
         assert_eq!(report.errors(), 1);
         assert_eq!(report.warnings(), 1);
     }
@@ -591,7 +597,10 @@ mod tests {
         let d = e.to_diagnostic();
         assert_eq!(d.severity, Severity::Error);
         assert_eq!(d.stage, Stage::Parse);
-        assert_eq!(d.span.as_ref().map(|s| s.source.as_str()), Some("manual://helix/bad"));
+        assert_eq!(
+            d.span.as_ref().map(|s| s.source.as_str()),
+            Some("manual://helix/bad")
+        );
         assert_eq!(d.vendor.as_deref(), Some("helix"));
     }
 
@@ -606,7 +615,10 @@ mod tests {
         };
         assert_eq!(budget.stage(), Stage::Parse);
         let d = budget.to_diagnostic();
-        assert_eq!(d.span.as_ref().map(|s| s.source.as_str()), Some("manual://helix/bomb"));
+        assert_eq!(
+            d.span.as_ref().map(|s| s.source.as_str()),
+            Some("manual://helix/bomb")
+        );
         assert!(d.message.contains("150001 nodes used, cap 100000"));
 
         let panic = NassimError::PagePanic {
@@ -623,7 +635,9 @@ mod tests {
     #[test]
     fn errors_round_trip_through_json() -> Result<(), Box<dyn Error>> {
         let errors = vec![
-            NassimError::EmptyManual { vendor: "h4c".into() },
+            NassimError::EmptyManual {
+                vendor: "h4c".into(),
+            },
             NassimError::internal("lookup chain broke"),
         ];
         let json = serde_json::to_string(&errors)?;

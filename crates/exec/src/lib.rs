@@ -57,7 +57,11 @@ pub struct ExecError {
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker panicked at item {}: {}", self.index, self.payload)
+        write!(
+            f,
+            "worker panicked at item {}: {}",
+            self.index, self.payload
+        )
     }
 }
 
@@ -422,7 +426,10 @@ where
         resume_unwind(payload);
     }
     let ra = ra.unwrap_or_else(|payload| resume_unwind(payload));
-    match rb_cell.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+    match rb_cell
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    {
         Some(rb) => (ra, rb),
         // The chunk completed without panicking, so the result was stored.
         None => unreachable!("join2 task finished without a result or panic"),
@@ -447,7 +454,11 @@ mod tests {
     fn indexed_variant_sees_original_positions() {
         let items = vec!["a", "b", "c", "d", "e", "f", "g"];
         let got = with_threads(3, || par_map_indexed(&items, |i, s| format!("{i}:{s}")));
-        let want: Vec<String> = items.iter().enumerate().map(|(i, s)| format!("{i}:{s}")).collect();
+        let want: Vec<String> = items
+            .iter()
+            .enumerate()
+            .map(|(i, s)| format!("{i}:{s}"))
+            .collect();
         assert_eq!(got, want);
     }
 
@@ -484,8 +495,7 @@ mod tests {
         let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for min_chunk in [1, 7, 64, 1000] {
             for n in [1, 4, 16] {
-                let got =
-                    with_threads(n, || par_map_chunked(&items, min_chunk, |x| x * 3 + 1));
+                let got = with_threads(n, || par_map_chunked(&items, min_chunk, |x| x * 3 + 1));
                 assert_eq!(got, serial, "min_chunk {min_chunk}, {n} workers");
             }
         }
@@ -510,17 +520,16 @@ mod tests {
         for n in [1, 4] {
             // State is a scratch buffer; results must not depend on reuse.
             let got = with_threads(n, || {
-                par_map_with(
-                    &items,
-                    1,
-                    Vec::<u32>::new,
-                    |scratch, i, &x| {
-                        scratch.push(x); // grows per worker, never reset
-                        x * 2 + i as u32
-                    },
-                )
+                par_map_with(&items, 1, Vec::<u32>::new, |scratch, i, &x| {
+                    scratch.push(x); // grows per worker, never reset
+                    x * 2 + i as u32
+                })
             });
-            let want: Vec<u32> = items.iter().enumerate().map(|(i, &x)| x * 2 + i as u32).collect();
+            let want: Vec<u32> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| x * 2 + i as u32)
+                .collect();
             assert_eq!(got, want, "{n} workers");
         }
     }
@@ -638,8 +647,7 @@ mod tests {
             });
             assert_eq!(got, Err("bad 9".to_string()), "{n} workers");
         }
-        let ok: Result<Vec<u32>, String> =
-            with_threads(4, || try_par_map(&items, |&x| Ok(x)));
+        let ok: Result<Vec<u32>, String> = with_threads(4, || try_par_map(&items, |&x| Ok(x)));
         assert_eq!(ok.expect("no errors").len(), items.len());
     }
 }

@@ -161,10 +161,7 @@ impl Job {
     fn wait_done(&self) {
         let mut st = lock(&self.state);
         while st.finished < self.chunks {
-            st = self
-                .done
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -297,11 +294,7 @@ pub(crate) fn run_job(
 /// Push a job into the injector and wake workers; the caller must
 /// eventually call [`finish_job`] on the returned handle (it owns the
 /// lifetime of `task`'s borrow).
-pub(crate) fn submit(
-    chunks: usize,
-    helpers: usize,
-    task: &(dyn Fn(usize) + Sync),
-) -> Arc<Job> {
+pub(crate) fn submit(chunks: usize, helpers: usize, task: &(dyn Fn(usize) + Sync)) -> Arc<Job> {
     let p = pool();
     ensure_workers(p, helpers);
     p.jobs.fetch_add(1, Ordering::Relaxed);
@@ -339,9 +332,10 @@ pub(crate) fn finish_job(job: &Arc<Job>) -> Vec<(usize, Payload)> {
     let p = pool();
     {
         let mut q = lock(&p.injector);
-        if let Some(i) = q.iter().position(
-            |it| matches!(it, Item::Job(j) if Arc::ptr_eq(j, job)),
-        ) {
+        if let Some(i) = q
+            .iter()
+            .position(|it| matches!(it, Item::Job(j) if Arc::ptr_eq(j, job)))
+        {
             q.remove(i);
         }
     }

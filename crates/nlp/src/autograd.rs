@@ -268,7 +268,9 @@ impl Tape {
         grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
 
         for i in (0..=loss.0).rev() {
-            let Some(gout) = grads[i].clone() else { continue };
+            let Some(gout) = grads[i].clone() else {
+                continue;
+            };
             match &self.nodes[i].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
@@ -394,7 +396,8 @@ impl Tape {
                         let m = &self.nodes[p.0].value;
                         let mut g = Matrix::zeros(m.rows, m.cols);
                         for r in 0..m.rows {
-                            g.row_mut(r).copy_from_slice(&gout.row(r)[off..off + m.cols]);
+                            g.row_mut(r)
+                                .copy_from_slice(&gout.row(r)[off..off + m.cols]);
                         }
                         off += m.cols;
                         accumulate(&mut grads, p.0, g);

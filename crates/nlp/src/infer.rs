@@ -132,10 +132,15 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                     let b6 = bp.add(6 * cols);
                     let b7 = bp.add(7 * cols);
                     for (j, o) in orow.iter_mut().enumerate() {
-                        *o = *o + a0 * *b0.add(j) + a1 * *b1.add(j)
-                            + a2 * *b2.add(j) + a3 * *b3.add(j)
-                            + a4 * *b4.add(j) + a5 * *b5.add(j)
-                            + a6 * *b6.add(j) + a7 * *b7.add(j);
+                        *o = *o
+                            + a0 * *b0.add(j)
+                            + a1 * *b1.add(j)
+                            + a2 * *b2.add(j)
+                            + a3 * *b3.add(j)
+                            + a4 * *b4.add(j)
+                            + a5 * *b5.add(j)
+                            + a6 * *b6.add(j)
+                            + a7 * *b7.add(j);
                     }
                 }
                 k += 8;
@@ -185,10 +190,15 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                     let b6 = bp.add(pend[6] * cols);
                     let b7 = bp.add(pend[7] * cols);
                     for (j, o) in orow.iter_mut().enumerate() {
-                        *o = *o + a0 * *b0.add(j) + a1 * *b1.add(j)
-                            + a2 * *b2.add(j) + a3 * *b3.add(j)
-                            + a4 * *b4.add(j) + a5 * *b5.add(j)
-                            + a6 * *b6.add(j) + a7 * *b7.add(j);
+                        *o = *o
+                            + a0 * *b0.add(j)
+                            + a1 * *b1.add(j)
+                            + a2 * *b2.add(j)
+                            + a3 * *b3.add(j)
+                            + a4 * *b4.add(j)
+                            + a5 * *b5.add(j)
+                            + a6 * *b6.add(j)
+                            + a7 * *b7.add(j);
                     }
                 }
             }
@@ -348,7 +358,11 @@ pub(crate) fn forward(
     let cfg = &enc.config;
     let s = scratch;
     s.ids.clear();
-    s.ids.extend(ids.iter().take(cfg.max_len).map(|&i| i.min(cfg.vocab_size - 1)));
+    s.ids.extend(
+        ids.iter()
+            .take(cfg.max_len)
+            .map(|&i| i.min(cfg.vocab_size - 1)),
+    );
     let n = s.ids.len();
 
     // Token + position embedding: gather is a row copy, the add matches
@@ -392,7 +406,14 @@ pub(crate) fn forward(
             }
         }
         matmul_into(&s.concat, &b.wo, &mut s.proj);
-        add_layer_norm_into(&s.x, &s.proj, &b.ln1_gain, &b.ln1_bias, &mut s.tmp, &mut s.normed);
+        add_layer_norm_into(
+            &s.x,
+            &s.proj,
+            &b.ln1_gain,
+            &b.ln1_bias,
+            &mut s.tmp,
+            &mut s.normed,
+        );
 
         // Feed-forward. Bias-add and ReLU fuse into one pass: each element
         // still computes `(v + bias).max(0)` — the tape's two ops — with a
@@ -405,7 +426,14 @@ pub(crate) fn forward(
         }
         matmul_into(&s.h1, &b.ff2, &mut s.h2);
         add_row_inplace(&mut s.h2, &b.ff2_bias);
-        add_layer_norm_into(&s.normed, &s.h2, &b.ln2_gain, &b.ln2_bias, &mut s.tmp, &mut s.x);
+        add_layer_norm_into(
+            &s.normed,
+            &s.h2,
+            &b.ln2_gain,
+            &b.ln2_bias,
+            &mut s.tmp,
+            &mut s.x,
+        );
     }
 
     // Mean pooling, replicating `Matrix::mean_rows`: accumulate rows
@@ -771,7 +799,10 @@ mod tests {
     #[test]
     fn batch_encoder_matches_per_text_path() {
         let e = enc();
-        let vocab = Vocab::build(["switch port vlan", "interface mtu size"].iter().copied(), 1);
+        let vocab = Vocab::build(
+            ["switch port vlan", "interface mtu size"].iter().copied(),
+            1,
+        );
         let be = BatchEncoder::new(e.clone(), vocab.clone());
         let texts = ["switch port", "interface mtu", "switch port", "vlan size"];
         let batch = be.embed_batch(&texts);

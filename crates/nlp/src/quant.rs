@@ -219,7 +219,10 @@ struct TopKI32 {
 
 impl TopKI32 {
     fn new(k: usize) -> TopKI32 {
-        TopKI32 { k, entries: Vec::with_capacity(k + 1) }
+        TopKI32 {
+            k,
+            entries: Vec::with_capacity(k + 1),
+        }
     }
 
     fn offer(&mut self, index: usize, score: i32) {
@@ -258,15 +261,18 @@ mod tests {
         assert_eq!(q.scales()[0], 2.0 / 127.0);
         assert_eq!(q.scales()[1], 3.0 / 127.0);
         assert_eq!(q.scales()[2], 1.0); // all-zero dimension guard
-        // The max-magnitude entries land exactly on ±127.
+                                        // The max-magnitude entries land exactly on ±127.
         assert_eq!(q.encode(&rows[0]), vec![64, -127, 0]);
         assert_eq!(q.encode(&rows[1]), vec![-127, 21, 0]);
     }
 
     #[test]
     fn approx_dot_respects_analytic_bound() {
-        let rows: Vec<Vec<f32>> =
-            vec![vec![0.3, -0.9, 0.11, 0.0], vec![-0.5, 0.2, 0.77, 0.0], vec![0.0; 4]];
+        let rows: Vec<Vec<f32>> = vec![
+            vec![0.3, -0.9, 0.11, 0.0],
+            vec![-0.5, 0.2, 0.77, 0.0],
+            vec![0.0; 4],
+        ];
         let q = Quantizer::fit(rows.iter().map(Vec::as_slice), 4);
         let query = [0.4, 0.1, -0.6, 2.0];
         let qq = q.encode_query(&query);
@@ -288,7 +294,10 @@ mod tests {
         // two 3s; the lower index must win, and order is descending.
         let q = Quantizer { scales: vec![1.0] };
         let rows: Vec<i8> = vec![3, 1, 3, 2];
-        let query = QuantizedQuery { codes: vec![1], scale: 1.0 };
+        let query = QuantizedQuery {
+            codes: vec![1],
+            scale: 1.0,
+        };
         assert_eq!(q.candidates(&query, &rows, 3), vec![0, 2, 3]);
         assert_eq!(q.candidates(&query, &rows, 10), vec![0, 2, 3, 1]);
         assert_eq!(q.candidates(&query, &rows, 0), Vec::<usize>::new());
@@ -298,7 +307,10 @@ mod tests {
     fn candidates_among_is_order_independent() {
         let q = Quantizer { scales: vec![1.0] };
         let rows: Vec<i8> = vec![3, 1, 3, 2, 5];
-        let query = QuantizedQuery { codes: vec![1], scale: 1.0 };
+        let query = QuantizedQuery {
+            codes: vec![1],
+            scale: 1.0,
+        };
         // Same subset, two visit orders → identical ranking (global index
         // tie-break, not offer order).
         let a = q.candidates_among(&query, &rows, [0, 2, 3], 2);

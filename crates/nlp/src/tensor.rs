@@ -42,7 +42,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Xavier/Glorot-uniform initialisation.
@@ -132,7 +136,11 @@ impl Matrix {
 
     /// Element-wise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.data.iter().map(|&x| f(x)).collect())
+        Matrix::from_vec(
+            self.rows,
+            self.cols,
+            self.data.iter().map(|&x| f(x)).collect(),
+        )
     }
 
     /// Scale by a constant.

@@ -183,6 +183,9 @@ mod tests {
     #[test]
     fn sparse_dot_handles_disjoint() {
         assert_eq!(sparse_dot(&[(0, 1.0)], &[(1, 1.0)]), 0.0);
-        assert_eq!(sparse_dot(&[(1, 2.0), (3, 1.0)], &[(1, 0.5), (2, 9.0)]), 1.0);
+        assert_eq!(
+            sparse_dot(&[(1, 2.0), (3, 1.0)], &[(1, 0.5), (2, 9.0)]),
+            1.0
+        );
     }
 }

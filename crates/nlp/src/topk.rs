@@ -94,8 +94,7 @@ impl TopK {
 
     /// The collected candidates, best first.
     pub fn into_sorted_vec(self) -> Vec<(usize, f32)> {
-        let mut out: Vec<(usize, f32)> =
-            self.heap.into_iter().map(|Worst(i, s)| (i, s)).collect();
+        let mut out: Vec<(usize, f32)> = self.heap.into_iter().map(|Worst(i, s)| (i, s)).collect();
         out.sort_by(|&a, &b| better(b, a));
         out
     }
@@ -143,10 +142,7 @@ mod tests {
     #[test]
     fn ties_break_by_lower_index() {
         let scored = vec![(5, 1.0), (2, 1.0), (9, 1.0), (0, 0.5)];
-        assert_eq!(
-            top_k_scored(scored, 2),
-            vec![(2, 1.0), (5, 1.0)]
-        );
+        assert_eq!(top_k_scored(scored, 2), vec![(2, 1.0), (5, 1.0)]);
     }
 
     #[test]
@@ -174,9 +170,6 @@ mod tests {
     #[test]
     fn negative_scores_and_duplicates() {
         let scored = vec![(0, -1.0), (1, -0.5), (2, -1.0), (3, -2.0)];
-        assert_eq!(
-            top_k_scored(scored.clone(), 3),
-            reference(scored, 3)
-        );
+        assert_eq!(top_k_scored(scored.clone(), 3), reference(scored, 3));
     }
 }

@@ -35,8 +35,14 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: params.iter().map(|p| Matrix::zeros(p.rows, p.cols)).collect(),
-            v: params.iter().map(|p| Matrix::zeros(p.rows, p.cols)).collect(),
+            m: params
+                .iter()
+                .map(|p| Matrix::zeros(p.rows, p.cols))
+                .collect(),
+            v: params
+                .iter()
+                .map(|p| Matrix::zeros(p.rows, p.cols))
+                .collect(),
         }
     }
 
@@ -139,11 +145,10 @@ fn apply(
     pv: &crate::transformer::ParamVars,
     grads: crate::autograd::Gradients,
 ) {
-    let grad_mats: Vec<Matrix> = pv
-        .0
-        .iter()
-        .map(|&v| grads.grad_of(v, tape.value(v)))
-        .collect();
+    let grad_mats: Vec<Matrix> =
+        pv.0.iter()
+            .map(|&v| grads.grad_of(v, tape.value(v)))
+            .collect();
     let mut params = encoder.params_mut();
     opt.step(&mut params, &grad_mats);
 }
@@ -222,10 +227,26 @@ mod tests {
         let mut out = Vec::new();
         // Positives within a topic, negatives across topics.
         for i in 0..4usize {
-            out.push(Pair { a: vec![1 + i, 2], b: vec![3, 4 + i % 2], label: 1.0 });
-            out.push(Pair { a: vec![10 + i, 11], b: vec![12, 13 + i % 2], label: 1.0 });
-            out.push(Pair { a: vec![1 + i, 2], b: vec![12, 13 + i % 2], label: 0.0 });
-            out.push(Pair { a: vec![10 + i, 11], b: vec![3, 4 + i % 2], label: 0.0 });
+            out.push(Pair {
+                a: vec![1 + i, 2],
+                b: vec![3, 4 + i % 2],
+                label: 1.0,
+            });
+            out.push(Pair {
+                a: vec![10 + i, 11],
+                b: vec![12, 13 + i % 2],
+                label: 1.0,
+            });
+            out.push(Pair {
+                a: vec![1 + i, 2],
+                b: vec![12, 13 + i % 2],
+                label: 0.0,
+            });
+            out.push(Pair {
+                a: vec![10 + i, 11],
+                b: vec![3, 4 + i % 2],
+                label: 0.0,
+            });
         }
         out
     }

@@ -158,7 +158,12 @@ impl Encoder {
 
     /// Push every parameter onto `tape` as a leaf.
     pub fn push_params(&self, tape: &mut Tape) -> ParamVars {
-        ParamVars(self.params().into_iter().map(|m| tape.leaf(m.clone())).collect())
+        ParamVars(
+            self.params()
+                .into_iter()
+                .map(|m| tape.leaf(m.clone()))
+                .collect(),
+        )
     }
 
     /// Forward pass over token ids; returns the 1×dim sentence embedding

@@ -22,19 +22,21 @@ fn arb_encoder() -> impl Strategy<Value = Encoder> {
         5usize..=40, // vocab_size
         0u64..1_000, // weight seed
     )
-        .prop_map(|(heads, head_dim, layers, ff_dim, max_len, vocab_size, seed)| {
-            Encoder::new(
-                EncoderConfig {
-                    vocab_size,
-                    dim: heads * head_dim,
-                    heads,
-                    layers,
-                    ff_dim,
-                    max_len,
-                },
-                seed,
-            )
-        })
+        .prop_map(
+            |(heads, head_dim, layers, ff_dim, max_len, vocab_size, seed)| {
+                Encoder::new(
+                    EncoderConfig {
+                        vocab_size,
+                        dim: heads * head_dim,
+                        heads,
+                        layers,
+                        ff_dim,
+                        max_len,
+                    },
+                    seed,
+                )
+            },
+        )
 }
 
 /// Token streams deliberately overshoot both vocab_size (exercises the

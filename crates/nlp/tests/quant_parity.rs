@@ -36,7 +36,11 @@ fn exact_ranking(query: &[f32], rows: &[Vec<f32>]) -> Vec<usize> {
         .enumerate()
         .map(|(i, r)| (i, query.iter().zip(r).map(|(a, b)| a * b).sum()))
         .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
     scored.into_iter().map(|(i, _)| i).collect()
 }
 

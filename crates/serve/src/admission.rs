@@ -88,7 +88,10 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
-        AdmissionConfig { workers: 2, queue: 8 }
+        AdmissionConfig {
+            workers: 2,
+            queue: 8,
+        }
     }
 }
 

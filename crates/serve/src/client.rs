@@ -68,8 +68,8 @@ impl ServeClient {
         let mut raw = Vec::new();
         loop {
             let line = self.read_raw()?;
-            let reply = Reply::parse(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let reply =
+                Reply::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             raw.push(line);
             if reply.is_final() {
                 return Ok((raw, reply));

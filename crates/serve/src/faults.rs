@@ -193,8 +193,7 @@ pub fn run_chaos(
                 // shed part of it, every reply is accounted. The volley
                 // completes before the scripted request, which must
                 // therefore still find a free slot.
-                let volley: Vec<std::thread::JoinHandle<io::Result<Reply>>> = (0..opts
-                    .burst_size)
+                let volley: Vec<std::thread::JoinHandle<io::Result<Reply>>> = (0..opts.burst_size)
                     .map(|b| {
                         std::thread::spawn(move || {
                             let mut c = ServeClient::connect(addr)?;

@@ -240,7 +240,10 @@ impl JournalRecord {
         let Some(rec_at) = rec_at else {
             return Err("missing `rec` field".to_string());
         };
-        let actual = format!("{:016x}", fnv1a_bytes(&line.as_bytes()[spans[rec_at].clone()]));
+        let actual = format!(
+            "{:016x}",
+            fnv1a_bytes(&line.as_bytes()[spans[rec_at].clone()])
+        );
         if sum != actual {
             return Err(format!("checksum mismatch (stored {sum}, actual {actual})"));
         }
@@ -628,7 +631,12 @@ mod tests {
             assert!(err.contains("checksum mismatch"), "{err}");
         }
         // Framing failures are tears too, not panics.
-        for bad in ["", "{", "{\"rec\":{}}", "{\"sum\":\"0\",\"rec\":{\"type\":\"nope\"}}"] {
+        for bad in [
+            "",
+            "{",
+            "{\"rec\":{}}",
+            "{\"sum\":\"0\",\"rec\":{\"type\":\"nope\"}}",
+        ] {
             assert!(JournalRecord::parse_line(bad).is_err(), "{bad:?} accepted");
         }
     }

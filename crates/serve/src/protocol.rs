@@ -152,10 +152,7 @@ impl Request {
                         pages
                             .iter()
                             .map(|(url, html)| {
-                                Value::Arr(vec![
-                                    Value::Str(url.clone()),
-                                    Value::Str(html.clone()),
-                                ])
+                                Value::Arr(vec![Value::Str(url.clone()), Value::Str(html.clone())])
                             })
                             .collect(),
                     ),
@@ -185,8 +182,8 @@ impl Request {
             kind: ErrKind::Malformed,
             message: format!("malformed request: {detail}"),
         };
-        let mut value: Value = serde_json::from_str(line)
-            .map_err(|e| malformed(&format!("invalid JSON: {e:?}")))?;
+        let mut value: Value =
+            serde_json::from_str(line).map_err(|e| malformed(&format!("invalid JSON: {e:?}")))?;
         let Some(Value::Str(op)) = value.get_mut("op").map(Value::take) else {
             return Err(malformed("missing string `op` field"));
         };
@@ -382,7 +379,10 @@ impl ErrReply {
         value_to_line(&Value::Obj(vec![(
             "err".to_string(),
             Value::Obj(vec![
-                ("kind".to_string(), Value::Str(self.kind.as_str().to_string())),
+                (
+                    "kind".to_string(),
+                    Value::Str(self.kind.as_str().to_string()),
+                ),
                 ("message".to_string(), Value::Str(self.message.clone())),
             ]),
         )]))
@@ -463,7 +463,9 @@ mod tests {
         let cases = vec![
             Request::Health,
             Request::Catalog,
-            Request::Inspect { vendor: "cirrus".into() },
+            Request::Inspect {
+                vendor: "cirrus".into(),
+            },
             Request::QueryMapping {
                 sequences: vec!["as-number".into(), "bgp <as-number>".into()],
                 k: 5,
@@ -500,7 +502,9 @@ mod tests {
                 deadline_ms: Some(500),
                 job: Some("upload-7.rev_2".into()),
             },
-            Request::JobStatus { job: "upload-7.rev_2".into() },
+            Request::JobStatus {
+                job: "upload-7.rev_2".into(),
+            },
             Request::DebugSleep { ms: 40 },
             Request::DebugPanic,
         ];
@@ -562,10 +566,23 @@ mod tests {
 
     #[test]
     fn job_id_validation() {
-        for ok in ["a", "upload-7.rev_2", "A.B-c_9", &"x".repeat(MAX_JOB_ID_LEN)] {
+        for ok in [
+            "a",
+            "upload-7.rev_2",
+            "A.B-c_9",
+            &"x".repeat(MAX_JOB_ID_LEN),
+        ] {
             assert!(valid_job_id(ok), "{ok}");
         }
-        for bad in ["", "a/b", "../x", "a b", "job\n", "é", &"x".repeat(MAX_JOB_ID_LEN + 1)] {
+        for bad in [
+            "",
+            "a/b",
+            "../x",
+            "a b",
+            "job\n",
+            "é",
+            &"x".repeat(MAX_JOB_ID_LEN + 1),
+        ] {
             assert!(!valid_job_id(bad), "{bad}");
         }
     }

@@ -228,8 +228,7 @@ impl ServeDaemon {
                         // New connections during drain get one typed
                         // frame and are closed without a session thread.
                         let mut stream = stream;
-                        let line =
-                            ErrReply::new(ErrKind::Draining, "daemon is draining").to_line();
+                        let line = ErrReply::new(ErrKind::Draining, "daemon is draining").to_line();
                         let _ = stream.write_all(line.as_bytes());
                         let _ = stream.write_all(b"\n");
                         ctx.counters.shed_draining.fetch_add(1, Ordering::Relaxed);
@@ -408,9 +407,9 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
                 // Oversized or non-UTF-8 frame: typed reply, then drop
                 // the connection (the stream is no longer frame-aligned).
                 ctx.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                ctx.events
-                    .lock()
-                    .push(ServeEvent::Malformed { detail: e.to_string() });
+                ctx.events.lock().push(ServeEvent::Malformed {
+                    detail: e.to_string(),
+                });
                 let _ = write_line(
                     &mut writer,
                     &ErrReply::new(ErrKind::Malformed, e.to_string()).to_line(),
@@ -447,8 +446,7 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
             .unwrap_or_else(|_| "?".to_string());
         // The deadline clock starts at frame receipt: queueing time
         // counts against the request's budget.
-        let deadline =
-            Deadline::started(parsed.as_ref().ok().and_then(|r| r.deadline_ms()));
+        let deadline = Deadline::started(parsed.as_ref().ok().and_then(|r| r.deadline_ms()));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             handle_request(parsed, &deadline, ctx, &mut writer)
         }));
@@ -507,8 +505,7 @@ fn handle_request(
             return write_line(writer, &err.to_line());
         }
     };
-    if matches!(request, Request::DebugSleep { .. } | Request::DebugPanic)
-        && !ctx.enable_debug_ops
+    if matches!(request, Request::DebugSleep { .. } | Request::DebugPanic) && !ctx.enable_debug_ops
     {
         return write_line(
             writer,
@@ -554,15 +551,13 @@ fn handle_request(
     match request {
         Request::Health => write_line(writer, &ok_line(health_payload(ctx))),
         Request::Catalog => {
-            let vendors: Vec<Value> = ctx
-                .state
-                .vendors
-                .values()
-                .map(vendor_summary)
-                .collect();
+            let vendors: Vec<Value> = ctx.state.vendors.values().map(vendor_summary).collect();
             write_line(
                 writer,
-                &ok_line(Value::Obj(vec![("vendors".to_string(), Value::Arr(vendors))])),
+                &ok_line(Value::Obj(vec![(
+                    "vendors".to_string(),
+                    Value::Arr(vendors),
+                )])),
             )
         }
         Request::Inspect { vendor } => match ctx.state.vendors.get(&vendor) {
@@ -603,10 +598,7 @@ fn handle_request(
                 .into_iter()
                 .map(|(leaf, score)| {
                     Value::Obj(vec![
-                        (
-                            "path".to_string(),
-                            Value::Str(mapper.udm().path_of(leaf)),
-                        ),
+                        ("path".to_string(), Value::Str(mapper.udm().path_of(leaf))),
                         ("score".to_string(), Value::Num(score as f64)),
                     ])
                 })
@@ -614,7 +606,10 @@ fn handle_request(
             ctx.counters.served.fetch_add(1, Ordering::Relaxed);
             write_line(
                 writer,
-                &ok_line(Value::Obj(vec![("matches".to_string(), Value::Arr(matches))])),
+                &ok_line(Value::Obj(vec![(
+                    "matches".to_string(),
+                    Value::Arr(matches),
+                )])),
             )
         }
         Request::SubmitManual {
@@ -670,15 +665,27 @@ fn health_payload(ctx: &ConnCtx) -> Value {
     let c = ctx.counters.snapshot();
     let pool = nassim_exec::pool_stats();
     Value::Obj(vec![
-        ("draining".to_string(), Value::Bool(ctx.draining.load(Ordering::SeqCst))),
+        (
+            "draining".to_string(),
+            Value::Bool(ctx.draining.load(Ordering::SeqCst)),
+        ),
         ("active".to_string(), Value::Num(active as f64)),
         ("queued".to_string(), Value::Num(queued as f64)),
         ("workers".to_string(), Value::Num(cfg.workers as f64)),
         ("queue_capacity".to_string(), Value::Num(cfg.queue as f64)),
         ("served".to_string(), Value::Num(c.served as f64)),
-        ("shed_overload".to_string(), Value::Num(c.shed_overload as f64)),
-        ("shed_draining".to_string(), Value::Num(c.shed_draining as f64)),
-        ("deadline_expired".to_string(), Value::Num(c.deadline_expired as f64)),
+        (
+            "shed_overload".to_string(),
+            Value::Num(c.shed_overload as f64),
+        ),
+        (
+            "shed_draining".to_string(),
+            Value::Num(c.shed_draining as f64),
+        ),
+        (
+            "deadline_expired".to_string(),
+            Value::Num(c.deadline_expired as f64),
+        ),
         ("malformed".to_string(), Value::Num(c.malformed as f64)),
         ("panics".to_string(), Value::Num(c.panics as f64)),
         ("disconnects".to_string(), Value::Num(c.disconnects as f64)),
@@ -686,9 +693,18 @@ fn health_payload(ctx: &ConnCtx) -> Value {
             "events_dropped".to_string(),
             Value::Num(ctx.events.lock().dropped as f64),
         ),
-        ("jobs_journaled".to_string(), Value::Num(c.jobs_journaled as f64)),
-        ("jobs_recovered".to_string(), Value::Num(c.jobs_recovered as f64)),
-        ("journal_torn".to_string(), Value::Num(c.journal_torn as f64)),
+        (
+            "jobs_journaled".to_string(),
+            Value::Num(c.jobs_journaled as f64),
+        ),
+        (
+            "jobs_recovered".to_string(),
+            Value::Num(c.jobs_recovered as f64),
+        ),
+        (
+            "journal_torn".to_string(),
+            Value::Num(c.journal_torn as f64),
+        ),
         (
             "journal_pending".to_string(),
             Value::Num(ctx.journal.as_ref().map_or(0, |j| j.pending_jobs().len()) as f64),
@@ -716,10 +732,17 @@ fn retrieval_payload(ctx: &ConnCtx) -> Value {
     let stats = ctx.state.mapper.retrieval_stats();
     let (hits, misses) = (ctx.state.ann_memo_hits, ctx.state.ann_memo_misses);
     let lookups = hits + misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    };
     Value::Obj(vec![
         ("mode".to_string(), Value::Str(stats.mode.to_string())),
-        ("leaf_count".to_string(), Value::Num(stats.leaf_count as f64)),
+        (
+            "leaf_count".to_string(),
+            Value::Num(stats.leaf_count as f64),
+        ),
         (
             "index_build_ms".to_string(),
             Value::Num(stats.index_build_ms),
@@ -738,7 +761,9 @@ fn deadline_reply(
     stage: &str,
     message: &str,
 ) -> io::Result<()> {
-    ctx.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
+    ctx.counters
+        .deadline_expired
+        .fetch_add(1, Ordering::Relaxed);
     ctx.events.lock().push(ServeEvent::DeadlineExpired {
         op: op.to_string(),
         stage: stage.to_string(),
@@ -752,11 +777,17 @@ enum SubmitOutcome {
     /// The final `ok` payload.
     Done(Value),
     /// The request deadline expired before `stage`.
-    Expired { stage: &'static str, message: String },
+    Expired {
+        stage: &'static str,
+        message: String,
+    },
     /// Persisting the job's store or journal record failed (injected
     /// crash or real I/O error). The job stays pending — committed
     /// durable state is untouched, and a restart finishes it.
-    PersistFailed { stage: &'static str, err: NassimError },
+    PersistFailed {
+        stage: &'static str,
+        err: NassimError,
+    },
 }
 
 /// The staged §4–§5 pipeline run through an [`ArtifactStore`]: one
@@ -786,70 +817,97 @@ fn run_submit_pipeline(
     // journal the stage record. Skipped when the stage is already
     // durable (recovery re-runs the pipeline; completed stages are
     // cache hits and must not duplicate their records).
-    let persist = |store: &ArtifactStore,
-                   stage: &'static str,
-                   key: u64|
-     -> Result<(), NassimError> {
-        let Some((journal, job)) = journal else {
-            return Ok(());
+    let persist =
+        |store: &ArtifactStore, stage: &'static str, key: u64| -> Result<(), NassimError> {
+            let Some((journal, job)) = journal else {
+                return Ok(());
+            };
+            if journal.job(job).is_some_and(|s| s.has_stage(stage)) {
+                return Ok(());
+            }
+            store.save(&journal.job_store_path(job))?;
+            journal.append(&JournalRecord::Stage {
+                job: job.to_string(),
+                stage: stage.to_string(),
+                key: format!("{key:016x}"),
+            })
         };
-        if journal.job(job).is_some_and(|s| s.has_stage(stage)) {
-            return Ok(());
-        }
-        store.save(&journal.job_store_path(job))?;
-        journal.append(&JournalRecord::Stage {
-            job: job.to_string(),
-            stage: stage.to_string(),
-            key: format!("{key:016x}"),
-        })
-    };
 
     // Stage 1: parse every page (panic-isolated parser fan-out; cached
     // pages are artifact-store hits).
     if let Err(message) = deadline.check("parse") {
-        return Ok(SubmitOutcome::Expired { stage: "parse", message });
+        return Ok(SubmitOutcome::Expired {
+            stage: "parse",
+            message,
+        });
     }
     progress("parse")?;
     let (parse, page_keys) = match store.parse_stage(parser, refs, &budget) {
         Ok(out) => out,
         // Unreachable in practice (the protocol rejects empty `pages`),
         // but typed rather than assumed.
-        Err(err) => return Ok(SubmitOutcome::PersistFailed { stage: "parse", err }),
+        Err(err) => {
+            return Ok(SubmitOutcome::PersistFailed {
+                stage: "parse",
+                err,
+            })
+        }
     };
     let ckey = corpus_key(&page_keys);
     if let Err(err) = persist(store, "parse", ckey) {
-        return Ok(SubmitOutcome::PersistFailed { stage: "parse", err });
+        return Ok(SubmitOutcome::PersistFailed {
+            stage: "parse",
+            err,
+        });
     }
 
     // Stage 2: formal syntax audit.
     if let Err(message) = deadline.check("syntax") {
-        return Ok(SubmitOutcome::Expired { stage: "syntax", message });
+        return Ok(SubmitOutcome::Expired {
+            stage: "syntax",
+            message,
+        });
     }
     progress("syntax")?;
     let syntax = store.syntax_stage(&parse);
     if let Err(err) = persist(store, "syntax", ckey) {
-        return Ok(SubmitOutcome::PersistFailed { stage: "syntax", err });
+        return Ok(SubmitOutcome::PersistFailed {
+            stage: "syntax",
+            err,
+        });
     }
 
     // Stage 3: hierarchy derivation (compiled CGM graphs and evidence
     // are store-cached, so a resumed job replays them from disk).
     if let Err(message) = deadline.check("hierarchy") {
-        return Ok(SubmitOutcome::Expired { stage: "hierarchy", message });
+        return Ok(SubmitOutcome::Expired {
+            stage: "hierarchy",
+            message,
+        });
     }
     progress("hierarchy")?;
     let derivation = store.hierarchy_stage(&parse, &page_keys);
     if let Err(err) = persist(store, "hierarchy", ckey) {
-        return Ok(SubmitOutcome::PersistFailed { stage: "hierarchy", err });
+        return Ok(SubmitOutcome::PersistFailed {
+            stage: "hierarchy",
+            err,
+        });
     }
 
     // Stage 4: VDM assembly.
     if let Err(message) = deadline.check("build") {
-        return Ok(SubmitOutcome::Expired { stage: "build", message });
+        return Ok(SubmitOutcome::Expired {
+            stage: "build",
+            message,
+        });
     }
     progress("build")?;
     let build = store.build_stage(vendor, &parse, &page_keys, &derivation);
     if let Err(err) = persist(store, "build", ckey) {
-        return Ok(SubmitOutcome::PersistFailed { stage: "build", err });
+        return Ok(SubmitOutcome::PersistFailed {
+            stage: "build",
+            err,
+        });
     }
 
     let diagnostics = parse.diagnostics.len() + build.diagnostics(&parse.pages).len();
@@ -864,7 +922,10 @@ fn run_submit_pipeline(
             "quarantined".to_string(),
             Value::Num(parse.quarantined.len() as f64),
         ),
-        ("nodes".to_string(), Value::Num(build.vdm.walk().len() as f64)),
+        (
+            "nodes".to_string(),
+            Value::Num(build.vdm.walk().len() as f64),
+        ),
         (
             "syntax_checked".to_string(),
             Value::Num(syntax.total_clis as f64),
@@ -1001,7 +1062,9 @@ fn submit_manual(
         pages,
         deadline,
         &mut store,
-        journal_ctx.as_ref().map(|(j, id)| (j.as_ref(), id.as_str())),
+        journal_ctx
+            .as_ref()
+            .map(|(j, id)| (j.as_ref(), id.as_str())),
         |stage| {
             write_line(
                 writer,
@@ -1070,9 +1133,7 @@ fn job_status(ctx: &ConnCtx, job: &str, writer: &mut impl Write) -> io::Result<(
                 ("job".to_string(), Value::Str(job.to_string())),
                 (
                     "state".to_string(),
-                    Value::Str(
-                        if state.is_done() { "done" } else { "pending" }.to_string(),
-                    ),
+                    Value::Str(if state.is_done() { "done" } else { "pending" }.to_string()),
                 ),
                 ("vendor".to_string(), Value::Str(state.vendor.clone())),
                 ("pages".to_string(), Value::Num(state.pages.len() as f64)),
@@ -1172,7 +1233,9 @@ fn recover_pending_jobs(
                 ));
             }
             Ok(SubmitOutcome::PersistFailed { stage, err }) => {
-                degrade(format!("recovery of job `{job}` failed at `{stage}`: {err}"));
+                degrade(format!(
+                    "recovery of job `{job}` failed at `{stage}`: {err}"
+                ));
             }
             // The sink progress callback never errors.
             Err(e) => degrade(format!("recovery of job `{job}` i/o error: {e}")),
@@ -1193,7 +1256,10 @@ mod tests {
         assert_eq!(log.buf.len(), EVENT_LOG_CAP);
         assert_eq!(log.dropped, 10);
         // Oldest evicted, newest retained.
-        assert_eq!(log.buf.front(), Some(&ServeEvent::Disconnect { partial: 11 }));
+        assert_eq!(
+            log.buf.front(),
+            Some(&ServeEvent::Disconnect { partial: 11 })
+        );
         let drained = log.take();
         assert_eq!(drained.len(), EVENT_LOG_CAP);
         assert_eq!(log.buf.len(), 0);

@@ -136,7 +136,10 @@ impl StateOptions {
     /// The full four-vendor demo catalog.
     pub fn full_catalog() -> StateOptions {
         StateOptions {
-            vendors: style::vendors().iter().map(|s| s.name.to_string()).collect(),
+            vendors: style::vendors()
+                .iter()
+                .map(|s| s.name.to_string())
+                .collect(),
             store_path: None,
         }
     }
@@ -297,10 +300,7 @@ mod tests {
         let c = cold.vendors.get("cirrus").unwrap();
         let w = warm.vendors.get("cirrus").unwrap();
         assert_eq!(c.vdm, w.vdm);
-        assert_eq!(
-            cold.mapper.candidate_count(),
-            warm.mapper.candidate_count()
-        );
+        assert_eq!(cold.mapper.candidate_count(), warm.mapper.candidate_count());
         std::fs::remove_file(&path).ok();
     }
 
@@ -319,7 +319,12 @@ mod tests {
         let opts = StateOptions::default().with_store(&path);
         let (state, store) = ServeState::build(&opts).unwrap();
         assert_eq!(state.warm_page_hits, 0, "an outdated store is never reused");
-        assert_eq!(state.startup_diagnostics.len(), 1, "{:?}", state.startup_diagnostics);
+        assert_eq!(
+            state.startup_diagnostics.len(),
+            1,
+            "{:?}",
+            state.startup_diagnostics
+        );
         let message = &state.startup_diagnostics[0].message;
         assert!(message.contains("schema version 3"), "{message}");
         assert!(message.contains("starting cold"), "{message}");
@@ -333,7 +338,10 @@ mod tests {
         ServeState::save_store(&store, &path).unwrap();
         let (warm, _) = ServeState::build(&opts).unwrap();
         assert!(warm.warm_page_hits > 0);
-        assert!(warm.startup_diagnostics.iter().all(|d| !d.message.contains("schema")));
+        assert!(warm
+            .startup_diagnostics
+            .iter()
+            .all(|d| !d.message.contains("schema")));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -272,7 +272,9 @@ fn journaled_submissions_are_idempotent_in_process() {
 
     // job-status carries the same recorded result.
     let (raw, reply) = client
-        .request_full(&Request::JobStatus { job: JOB.to_string() })
+        .request_full(&Request::JobStatus {
+            job: JOB.to_string(),
+        })
         .unwrap();
     let status = ok_frame(&raw, &reply);
     assert!(status.contains("\"done\""), "{status}");
@@ -286,7 +288,9 @@ fn journaled_submissions_are_idempotent_in_process() {
         other => panic!("journal-less daemon answered {other:?}"),
     }
     match client
-        .request(&Request::JobStatus { job: JOB.to_string() })
+        .request(&Request::JobStatus {
+            job: JOB.to_string(),
+        })
         .unwrap()
     {
         Reply::Err(e) => assert_eq!(e.kind, ErrKind::UnknownOp),

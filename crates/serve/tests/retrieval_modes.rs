@@ -35,8 +35,12 @@ fn matches_of(reply: &Reply) -> Vec<(String, f64)> {
     };
     arr.iter()
         .map(|m| {
-            let Some(Value::Str(path)) = m.get("path") else { panic!("no path") };
-            let Some(Value::Num(score)) = m.get("score") else { panic!("no score") };
+            let Some(Value::Str(path)) = m.get("path") else {
+                panic!("no path")
+            };
+            let Some(Value::Num(score)) = m.get("score") else {
+                panic!("no score")
+            };
             (path.clone(), *score)
         })
         .collect()
@@ -51,7 +55,10 @@ fn every_mode_answers_and_is_deterministic() {
     let exact_matches = matches_of(&exact);
     assert_eq!(exact_matches.len(), 5);
     for w in exact_matches.windows(2) {
-        assert!(w[0].1 >= w[1].1, "scores must be descending: {exact_matches:?}");
+        assert!(
+            w[0].1 >= w[1].1,
+            "scores must be descending: {exact_matches:?}"
+        );
     }
 
     // `mode: "exact"` is the explicit spelling of the default.
@@ -65,9 +72,7 @@ fn every_mode_answers_and_is_deterministic() {
         // Survivor scores are exact f32 rescored — any leaf both modes
         // retrieve carries an identical score.
         for (path, score) in &got {
-            if let Some((_, exact_score)) =
-                exact_matches.iter().find(|(p, _)| p == path)
-            {
+            if let Some((_, exact_score)) = exact_matches.iter().find(|(p, _)| p == path) {
                 assert_eq!(score, exact_score, "mode {mode} drifted on {path}");
             }
         }
@@ -113,7 +118,10 @@ fn health_reports_the_retrieval_layer() {
         other => panic!("retrieval.leaf_count missing: {other:?}"),
     }
     // A cold build records exactly one index-memo miss and no hits.
-    match (retrieval.get("ann_memo_hits"), retrieval.get("ann_memo_misses")) {
+    match (
+        retrieval.get("ann_memo_hits"),
+        retrieval.get("ann_memo_misses"),
+    ) {
         (Some(Value::Num(h)), Some(Value::Num(m))) => {
             assert_eq!(*h, 0.0);
             assert_eq!(*m, 1.0);

@@ -37,20 +37,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let a = assimilate(
         parser_for("helix")?.as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )?;
     let vdm = &a.build.vdm;
 
     // ── Stage 3a: replay config files from "running devices". ─────────
-    let corpus = configgen::generate(&style, &catalog, &configgen::ConfigGenOptions {
-        seed: 9,
-        files: 6,
-        active_fraction: 0.3,
-        stanzas_per_file: 10,
-    });
+    let corpus = configgen::generate(
+        &style,
+        &catalog,
+        &configgen::ConfigGenOptions {
+            seed: 9,
+            files: 6,
+            active_fraction: 0.3,
+            stanzas_per_file: 10,
+        },
+    );
     let report = validate_config_files(
         vdm,
-        corpus.files.iter().map(|f| (f.name.as_str(), f.lines.as_slice())),
+        corpus
+            .files
+            .iter()
+            .map(|f| (f.name.as_str(), f.lines.as_slice())),
     );
     println!(
         "config replay: {}/{} instances matched ({:.0}%), {} templates exercised",
@@ -105,7 +115,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  FAILED {template} (instance `{instance}`): {why}");
     }
     for skipped in outcome.degraded.iter().take(5) {
-        println!("  DEGRADED {} ({}): {}", skipped.template, skipped.instance, skipped.cause);
+        println!(
+            "  DEGRADED {} ({}): {}",
+            skipped.template, skipped.instance, skipped.cause
+        );
     }
     server.stop();
     Ok(())

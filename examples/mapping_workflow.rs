@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let a = assimilate(
         parser_for("helix")?.as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )?;
     let vdm = &a.build.vdm;
     let udm_data = udmgen::generate(&catalog, &Default::default());
@@ -67,7 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cases = resolve_cases(vdm, udm, &annotations);
     let (train, test) = cases.split_at(cases.len() / 2);
     let netbert = zoo.netbert(train, udm, &Default::default());
-    let embedder = EncoderEmbedder { encoder: netbert.clone(), vocab: zoo.vocab.clone() };
+    let embedder = EncoderEmbedder {
+        encoder: netbert.clone(),
+        vocab: zoo.vocab.clone(),
+    };
     let mapper = Mapper::ir_dl(udm, std::sync::Arc::new(embedder), 50);
 
     // ── Recommendations, the human-comprehensible output (Figure 10). ──

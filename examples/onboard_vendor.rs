@@ -88,7 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => 0,
     };
-    let pages = || manual_pages.iter().map(|p| (p.url.as_str(), p.html.as_str()));
+    let pages = || {
+        manual_pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str()))
+    };
 
     // ── Step 1: TDD parser development (§4). ──────────────────────────
     // Iteration 1: the naive parser a developer writes after sampling a

@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline_ms: Some(2_000),
         mode: None,
     })?;
-    println!("\n> query-mapping \"bgp as-number\" (k=3, 2s deadline)\n< {}", raw.join("\n< "));
+    println!(
+        "\n> query-mapping \"bgp as-number\" (k=3, 2s deadline)\n< {}",
+        raw.join("\n< ")
+    );
 
     // 4. Submit a fresh manual through the staged pipeline; each stage
     //    streams one progress frame before the final summary.
@@ -68,7 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     daemon.drain();
     println!("\ndrained (generation {})", daemon.generation());
     match client.request(&Request::Catalog)? {
-        Reply::Err(e) => println!("> catalog (after drain)\n< typed shed: {} — {}", e.kind.as_str(), e.message),
+        Reply::Err(e) => println!(
+            "> catalog (after drain)\n< typed shed: {} — {}",
+            e.kind.as_str(),
+            e.message
+        ),
         other => println!("unexpected post-drain reply: {other:?}"),
     }
 

@@ -14,9 +14,7 @@
 use nassim::datasets::{catalog::Catalog, manualgen, style};
 use nassim::html::IngestBudget;
 use nassim::parser::parser_for;
-use nassim::{
-    assimilate_incremental, orphan_count, ArtifactStore, CrashPlan, CrashPoint,
-};
+use nassim::{assimilate_incremental, orphan_count, ArtifactStore, CrashPlan, CrashPoint};
 use nassim_diag::NassimError;
 use nassim_serve::{JobJournal, JournalRecord};
 use serde::Value;
@@ -76,7 +74,10 @@ fn seeded_save_crashes_never_lose_the_committed_store() {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            assert!(attempts <= 200, "seed {seed}: rate-0.7 plan never let a save through");
+            assert!(
+                attempts <= 200,
+                "seed {seed}: rate-0.7 plan never let a save through"
+            );
             match next_store.save_with(&path, Some(&plan)) {
                 Ok(()) => break,
                 Err(e) => {
@@ -89,9 +90,8 @@ fn seeded_save_crashes_never_lose_the_committed_store() {
                         committed,
                         "seed {seed}: a crashed save changed the committed bytes"
                     );
-                    ArtifactStore::load(&path).unwrap_or_else(|e| {
-                        panic!("seed {seed}: committed store corrupted: {e}")
-                    });
+                    ArtifactStore::load(&path)
+                        .unwrap_or_else(|e| panic!("seed {seed}: committed store corrupted: {e}"));
                 }
             }
         }
@@ -101,7 +101,11 @@ fn seeded_save_crashes_never_lose_the_committed_store() {
         // crashed attempt has been swept.
         assert_ne!(std::fs::read(&path).unwrap(), committed);
         ArtifactStore::load(&path).unwrap();
-        assert_eq!(orphan_count(&path), 0, "seed {seed}: orphan temp files survived");
+        assert_eq!(
+            orphan_count(&path),
+            0,
+            "seed {seed}: orphan temp files survived"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(
@@ -164,7 +168,10 @@ fn seeded_torn_appends_replay_the_prefix_and_converge() {
         // Converged: a fresh replay sees every job done with its exact
         // payload, no duplicates, no pending work.
         let (replayed, diags) = JobJournal::open(&dir).unwrap();
-        assert!(diags.is_empty(), "seed {seed}: clean log reported {diags:?}");
+        assert!(
+            diags.is_empty(),
+            "seed {seed}: clean log reported {diags:?}"
+        );
         assert_eq!(replayed.job_count(), 6);
         assert!(replayed.pending_jobs().is_empty());
         for i in 0..6 {

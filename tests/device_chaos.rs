@@ -68,7 +68,10 @@ fn vdm_and_nodes() -> (nassim::corpus::Vdm, Vec<nassim::corpus::VdmNodeId>) {
     );
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     let nodes: Vec<_> = a.build.vdm.walk().into_iter().take(NODE_BUDGET).collect();
@@ -85,13 +88,9 @@ fn chaos_matrix_masks_every_transient_fault() {
     // ── Fault-free baseline. ───────────────────────────────────────────
     let model = device_model_from_catalog(&catalog, &st).unwrap();
     let mut server = DeviceServer::spawn_with(Arc::new(model), None).unwrap();
-    let baseline = validate_on_device_with(
-        &vdm,
-        &nodes,
-        server.addr(),
-        &DevicePush::new(INSTANCE_SEED),
-    )
-    .unwrap();
+    let baseline =
+        validate_on_device_with(&vdm, &nodes, server.addr(), &DevicePush::new(INSTANCE_SEED))
+            .unwrap();
     server.stop();
     assert_eq!(baseline.nodes_tested, nodes.len());
     assert_eq!(baseline.retries, 0, "baseline must need no retries");
@@ -104,7 +103,9 @@ fn chaos_matrix_masks_every_transient_fault() {
         let mut server = spawn_device(
             &catalog,
             &st,
-            DeviceSpawnOptions { faults: Some(Arc::clone(&plan)) },
+            DeviceSpawnOptions {
+                faults: Some(Arc::clone(&plan)),
+            },
         )
         .unwrap();
         let clock = Arc::new(ManualClock::new());
@@ -122,8 +123,16 @@ fn chaos_matrix_masks_every_transient_fault() {
         assert_eq!(out.nodes_tested, baseline.nodes_tested, "seed {fault_seed}");
         assert_eq!(out.accepted, baseline.accepted, "seed {fault_seed}");
         assert_eq!(out.readback_ok, baseline.readback_ok, "seed {fault_seed}");
-        assert!(out.degraded.is_empty(), "seed {fault_seed}: {:?}", out.degraded);
-        assert_eq!(out.failures.len(), baseline.failures.len(), "seed {fault_seed}");
+        assert!(
+            out.degraded.is_empty(),
+            "seed {fault_seed}: {:?}",
+            out.degraded
+        );
+        assert_eq!(
+            out.failures.len(),
+            baseline.failures.len(),
+            "seed {fault_seed}"
+        );
 
         // Faults were genuinely injected, and the injection log accounts
         // for each one with its class and the request it hit.
@@ -161,7 +170,10 @@ fn chaos_matrix_masks_every_transient_fault() {
 
     // Across the seed matrix every fault class fired at least once.
     for &kind in FaultKind::ALL {
-        assert!(classes_seen.contains(&kind), "class {kind:?} never injected");
+        assert!(
+            classes_seen.contains(&kind),
+            "class {kind:?} never injected"
+        );
     }
 }
 

@@ -29,7 +29,10 @@ fn unused_templates_validate_against_live_device() {
     );
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     let vdm = &a.build.vdm;
@@ -46,7 +49,10 @@ fn unused_templates_validate_against_live_device() {
     );
     let replay = validate_config_files(
         vdm,
-        corpus.files.iter().map(|f| (f.name.as_str(), f.lines.as_slice())),
+        corpus
+            .files
+            .iter()
+            .map(|f| (f.name.as_str(), f.lines.as_slice())),
     );
     let unused: Vec<_> = vdm
         .walk()
@@ -54,7 +60,10 @@ fn unused_templates_validate_against_live_device() {
         .filter(|id| !replay.used_nodes.contains(id))
         .take(80)
         .collect();
-    assert!(!unused.is_empty(), "skewed corpus must leave templates unused");
+    assert!(
+        !unused.is_empty(),
+        "skewed corpus must leave templates unused"
+    );
 
     let model = device_model_from_catalog(&catalog, &st).unwrap();
     let mut server = nassim::device::DeviceServer::spawn(Arc::new(model)).unwrap();
@@ -67,7 +76,11 @@ fn unused_templates_validate_against_live_device() {
         "device rejected instances: {:?}",
         out.failures
     );
-    assert_eq!(out.readback_ok, out.accepted, "read-back failures: {:?}", out.failures);
+    assert_eq!(
+        out.readback_ok, out.accepted,
+        "read-back failures: {:?}",
+        out.failures
+    );
 }
 
 #[test]
@@ -88,7 +101,10 @@ fn device_feature_gap_is_reported() {
     );
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     let vdm = &a.build.vdm;

@@ -27,7 +27,10 @@ fn every_vendor_round_trips_the_full_catalog() {
         let manual = manualgen::generate(&st, &catalog, &clean_opts(100));
         let a = assimilate(
             parser_for(vendor).unwrap().as_ref(),
-            manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+            manual
+                .pages
+                .iter()
+                .map(|p| (p.url.as_str(), p.html.as_str())),
         )
         .unwrap();
         assert!(a.parse.report.passes(), "{vendor}: {}", a.parse.report);
@@ -59,7 +62,10 @@ fn multi_view_commands_appear_once_per_view() {
     let manual = manualgen::generate(&st, &catalog, &clean_opts(101));
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     // bgp.peer-as works in BGP view and in the address-family view.
@@ -70,7 +76,10 @@ fn multi_view_commands_appear_once_per_view() {
         .filter(|(_, n)| n.template == "peer <peer-address> as-number <as-number>")
         .map(|(_, n)| n.view.clone())
         .collect();
-    assert!(placements.contains(&"BGP view".to_string()), "{placements:?}");
+    assert!(
+        placements.contains(&"BGP view".to_string()),
+        "{placements:?}"
+    );
     assert!(
         placements.contains(&"BGP-IPv4 unicast view".to_string()),
         "{placements:?}"
@@ -94,7 +103,10 @@ fn injected_syntax_errors_are_all_detected() {
         );
         let a = assimilate(
             parser_for(vendor).unwrap().as_ref(),
-            manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+            manual
+                .pages
+                .iter()
+                .map(|p| (p.url.as_str(), p.html.as_str())),
         )
         .unwrap();
         let injected: Vec<&str> = manual
@@ -114,7 +126,11 @@ fn injected_syntax_errors_are_all_detected() {
         }
         // Precision: nothing but injections flagged.
         for f in &a.syntax.failures {
-            assert!(injected.contains(&f.url.as_str()), "{vendor}: false positive {}", f.url);
+            assert!(
+                injected.contains(&f.url.as_str()),
+                "{vendor}: false positive {}",
+                f.url
+            );
         }
     }
 }
@@ -127,7 +143,10 @@ fn config_replay_matches_fully_on_clean_vdm() {
         let manual = manualgen::generate(&st, &catalog, &clean_opts(104));
         let a = assimilate(
             parser_for(vendor).unwrap().as_ref(),
-            manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+            manual
+                .pages
+                .iter()
+                .map(|p| (p.url.as_str(), p.html.as_str())),
         )
         .unwrap();
         let corpus = configgen::generate(
@@ -142,7 +161,10 @@ fn config_replay_matches_fully_on_clean_vdm() {
         );
         let report = validate_config_files(
             &a.build.vdm,
-            corpus.files.iter().map(|f| (f.name.as_str(), f.lines.as_slice())),
+            corpus
+                .files
+                .iter()
+                .map(|f| (f.name.as_str(), f.lines.as_slice())),
         );
         assert!(
             (report.matching_ratio() - 1.0).abs() < 1e-9,
@@ -170,7 +192,10 @@ fn ambiguity_injection_is_detected_with_high_recall() {
     );
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap();
     let injected = manual.ambiguous_views();

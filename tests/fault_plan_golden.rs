@@ -38,7 +38,12 @@ fn render<K: FaultClass>(
     writeln!(out, "{header}").unwrap();
     for i in 0..DRAWS {
         let decision = plan.decide(target(i));
-        writeln!(out, "{}", decision.map_or("-".to_string(), |k| k.to_string())).unwrap();
+        writeln!(
+            out,
+            "{}",
+            decision.map_or("-".to_string(), |k| k.to_string())
+        )
+        .unwrap();
     }
     render_log(out, plan);
 }
@@ -57,10 +62,20 @@ fn class_matrix<K: FaultClass>(target: fn(usize) -> String) -> u64 {
     for seed in SEEDS {
         for rate in RATES {
             let uniform = SeededPlan::<K>::uniform(seed, rate);
-            render(&mut out, format!("plan {seed} {rate} all"), &uniform, target);
+            render(
+                &mut out,
+                format!("plan {seed} {rate} all"),
+                &uniform,
+                target,
+            );
             for &kind in K::ALL {
                 let only = SeededPlan::only(seed, kind, rate);
-                render(&mut out, format!("plan {seed} {rate} {kind}"), &only, target);
+                render(
+                    &mut out,
+                    format!("plan {seed} {rate} {kind}"),
+                    &only,
+                    target,
+                );
             }
         }
     }
@@ -72,7 +87,9 @@ fn serve_stream() -> u64 {
     for seed in SEEDS {
         for rate in RATES {
             let plan = ServeFaultPlan::uniform(seed, rate);
-            render(&mut out, format!("plan {seed} {rate}"), &plan, |i| i.to_string());
+            render(&mut out, format!("plan {seed} {rate}"), &plan, |i| {
+                i.to_string()
+            });
         }
     }
     digest64(out.as_bytes())

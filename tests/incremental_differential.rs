@@ -55,8 +55,14 @@ fn assimilations_match(full: &Assimilation, inc: &Assimilation, what: &str) {
         "{what}: unplaced pages differ"
     );
     assert_eq!(full.syntax, inc.syntax, "{what}: syntax audit differs");
-    assert_eq!(full.diagnostics, inc.diagnostics, "{what}: diagnostics differ");
-    assert_eq!(full.parse.pages, inc.parse.pages, "{what}: parsed pages differ");
+    assert_eq!(
+        full.diagnostics, inc.diagnostics,
+        "{what}: diagnostics differ"
+    );
+    assert_eq!(
+        full.parse.pages, inc.parse.pages,
+        "{what}: parsed pages differ"
+    );
 }
 
 /// Top-k rankings with scores reduced to their bit patterns, so equality
@@ -158,8 +164,8 @@ fn cached_mapper_rankings_survive_roundtrip_and_revision() {
     let manual = manualgen::generate(&st, &catalog, &opts);
 
     let mut store = ArtifactStore::new();
-    let a = assimilate_incremental(parser.as_ref(), page_refs(&manual), &budget, &mut store)
-        .unwrap();
+    let a =
+        assimilate_incremental(parser.as_ref(), page_refs(&manual), &budget, &mut store).unwrap();
 
     let udm = udmgen::generate(&catalog, &Default::default()).udm;
     let embedder: Arc<dyn Embedder> = Arc::new(FnvEmbedder(48));
@@ -180,15 +186,19 @@ fn cached_mapper_rankings_survive_roundtrip_and_revision() {
     let mut loaded = ArtifactStore::load(&path).unwrap();
     let reloaded = loaded.mapper_dl(&udm, embedder.clone(), "fnv-48");
     assert_eq!(loaded.embeddings.misses, 0, "round-trip lost embeddings");
-    assert_eq!(reference, topk_bits(&reloaded, &a, 25), "round-trip changed rankings");
+    assert_eq!(
+        reference,
+        topk_bits(&reloaded, &a, 25),
+        "round-trip changed rankings"
+    );
     std::fs::remove_file(&path).ok();
 
     // Revise the manual; leaf contexts come from the UDM, so the mapper
     // rebuild after re-assimilation stays 100% cache hits.
     let (revised_cat, _) = apply_edit_plan(&catalog, &EditPlan::modify_only(5, 8));
     let revised = manualgen::generate(&st, &revised_cat, &opts);
-    let b = assimilate_incremental(parser.as_ref(), page_refs(&revised), &budget, &mut loaded)
-        .unwrap();
+    let b =
+        assimilate_incremental(parser.as_ref(), page_refs(&revised), &budget, &mut loaded).unwrap();
     let rebuilt = loaded.mapper_dl(&udm, embedder, "fnv-48");
     assert_eq!(loaded.embeddings.misses, 0, "revision forced re-embedding");
     assert_eq!(

@@ -84,8 +84,13 @@ fn chaos_matrix_accounts_for_every_injection() {
         .iter()
         .map(|p| (p.url.clone(), (*p.entry).clone()))
         .collect();
-    let baseline_skipped: HashSet<String> =
-        baseline.parse.report.skipped_pages.iter().cloned().collect();
+    let baseline_skipped: HashSet<String> = baseline
+        .parse
+        .report
+        .skipped_pages
+        .iter()
+        .cloned()
+        .collect();
 
     // ── 3-seed × 6-class corruption matrix. ───────────────────────────
     let mut classes_injected: HashSet<CorruptKind> = HashSet::new();
@@ -103,8 +108,7 @@ fn chaos_matrix_accounts_for_every_injection() {
                 pages.len()
             );
             classes_injected.extend(injections.iter().map(|c| c.kind));
-            let corrupted: HashSet<String> =
-                injections.iter().map(|c| c.target.clone()).collect();
+            let corrupted: HashSet<String> = injections.iter().map(|c| c.target.clone()).collect();
 
             // Never panics, never aborts: Ok even with bombs inside.
             let a = catch_unwind(AssertUnwindSafe(|| run_assimilation(&pages)))
@@ -126,8 +130,7 @@ fn chaos_matrix_accounts_for_every_injection() {
             // recorded as a deliberate skip, or was quarantined.
             let parsed = parsed_urls(&a);
             let diagd = parse_diag_urls(&a);
-            let skipped: HashSet<String> =
-                r.skipped_pages.iter().cloned().collect();
+            let skipped: HashSet<String> = r.skipped_pages.iter().cloned().collect();
             let quarantined: HashSet<String> =
                 a.parse.quarantined.iter().map(|q| q.url.clone()).collect();
             for url in &corrupted {
@@ -143,13 +146,22 @@ fn chaos_matrix_accounts_for_every_injection() {
             // No collateral damage: only corrupted pages may be
             // quarantined, gain parse diagnostics, or newly skip.
             for url in &quarantined {
-                assert!(corrupted.contains(url), "{label}: clean page {url} quarantined");
+                assert!(
+                    corrupted.contains(url),
+                    "{label}: clean page {url} quarantined"
+                );
             }
             for url in &diagd {
-                assert!(corrupted.contains(url), "{label}: clean page {url} diagnosed");
+                assert!(
+                    corrupted.contains(url),
+                    "{label}: clean page {url} diagnosed"
+                );
             }
             for url in skipped.difference(&baseline_skipped) {
-                assert!(corrupted.contains(url), "{label}: clean page {url} newly skipped");
+                assert!(
+                    corrupted.contains(url),
+                    "{label}: clean page {url} newly skipped"
+                );
             }
 
             // Clean-subset parity: every uncorrupted page still parses,
@@ -208,7 +220,10 @@ fn chaos_matrix_accounts_for_every_injection() {
 
     // Across the matrix, every corruption class genuinely fired.
     for &kind in CorruptKind::ALL {
-        assert!(classes_injected.contains(&kind), "class {kind} never injected");
+        assert!(
+            classes_injected.contains(&kind),
+            "class {kind} never injected"
+        );
     }
 }
 

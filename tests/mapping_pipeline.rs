@@ -26,7 +26,10 @@ fn helix_vdm(catalog: &Catalog) -> Vdm {
     );
     assimilate(
         parser_for("helix").unwrap().as_ref(),
-        manual.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        manual
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str())),
     )
     .unwrap()
     .build
@@ -157,10 +160,24 @@ fn finetuning_improves_or_preserves_sbert_recall() {
     let (train, test) = cases.split_at(2 * cases.len() / 3);
     let netbert = zoo.netbert(train, &data.udm, &Default::default());
 
-    let sbert_emb = EncoderEmbedder { encoder: zoo.sbert.clone(), vocab: zoo.vocab.clone() };
-    let netbert_emb = EncoderEmbedder { encoder: netbert.clone(), vocab: zoo.vocab.clone() };
-    let sbert_r = evaluate(&Mapper::dl(&data.udm, std::sync::Arc::new(sbert_emb)), test, &[10]);
-    let netbert_r = evaluate(&Mapper::dl(&data.udm, std::sync::Arc::new(netbert_emb)), test, &[10]);
+    let sbert_emb = EncoderEmbedder {
+        encoder: zoo.sbert.clone(),
+        vocab: zoo.vocab.clone(),
+    };
+    let netbert_emb = EncoderEmbedder {
+        encoder: netbert.clone(),
+        vocab: zoo.vocab.clone(),
+    };
+    let sbert_r = evaluate(
+        &Mapper::dl(&data.udm, std::sync::Arc::new(sbert_emb)),
+        test,
+        &[10],
+    );
+    let netbert_r = evaluate(
+        &Mapper::dl(&data.udm, std::sync::Arc::new(netbert_emb)),
+        test,
+        &[10],
+    );
     // Domain adaptation must not collapse performance; typically it helps.
     assert!(
         netbert_r.recall[&10] + 0.10 >= sbert_r.recall[&10],

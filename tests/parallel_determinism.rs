@@ -43,7 +43,11 @@ fn manual_generation_is_identical_across_worker_counts() {
     assert_eq!(a.pages.len(), b.pages.len());
     for (pa, pb) in a.pages.iter().zip(&b.pages) {
         assert_eq!(pa.url, pb.url);
-        assert_eq!(pa.html, pb.html, "page {} differs across worker counts", pa.url);
+        assert_eq!(
+            pa.html, pb.html,
+            "page {} differs across worker counts",
+            pa.url
+        );
     }
     assert_eq!(a.defects, b.defects);
 }
@@ -113,15 +117,21 @@ fn every_combinator_is_identical_at_1_and_8_threads() {
     let parallel_map = with_threads(8, || nassim_exec::par_map(&items, |x| x * x + 7));
     assert_eq!(serial_map, parallel_map);
 
-    let serial_idx =
-        with_threads(1, || nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x));
-    let parallel_idx =
-        with_threads(8, || nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x));
+    let serial_idx = with_threads(1, || {
+        nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x)
+    });
+    let parallel_idx = with_threads(8, || {
+        nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x)
+    });
     assert_eq!(serial_idx, parallel_idx);
 
     for min_chunk in [1, 16, 100] {
-        let s = with_threads(1, || nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD));
-        let p = with_threads(8, || nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD));
+        let s = with_threads(1, || {
+            nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD)
+        });
+        let p = with_threads(8, || {
+            nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD)
+        });
         assert_eq!(s, p, "min_chunk {min_chunk}");
     }
 
@@ -140,18 +150,36 @@ fn every_combinator_is_identical_at_1_and_8_threads() {
     assert_eq!(s, p);
 
     let s = with_threads(1, || {
-        nassim_exec::par_map_isolated(&items, |&x| if x % 97 == 13 { panic!("boom {x}") } else { x })
+        nassim_exec::par_map_isolated(
+            &items,
+            |&x| if x % 97 == 13 { panic!("boom {x}") } else { x },
+        )
     });
     let p = with_threads(8, || {
-        nassim_exec::par_map_isolated(&items, |&x| if x % 97 == 13 { panic!("boom {x}") } else { x })
+        nassim_exec::par_map_isolated(
+            &items,
+            |&x| if x % 97 == 13 { panic!("boom {x}") } else { x },
+        )
     });
     assert_eq!(s, p);
 
     let s: Result<Vec<u64>, String> = with_threads(1, || {
-        nassim_exec::try_par_map(&items, |&x| if x == 301 { Err(format!("bad {x}")) } else { Ok(x) })
+        nassim_exec::try_par_map(&items, |&x| {
+            if x == 301 {
+                Err(format!("bad {x}"))
+            } else {
+                Ok(x)
+            }
+        })
     });
     let p: Result<Vec<u64>, String> = with_threads(8, || {
-        nassim_exec::try_par_map(&items, |&x| if x == 301 { Err(format!("bad {x}")) } else { Ok(x) })
+        nassim_exec::try_par_map(&items, |&x| {
+            if x == 301 {
+                Err(format!("bad {x}"))
+            } else {
+                Ok(x)
+            }
+        })
     });
     assert_eq!(s, p);
 
@@ -171,14 +199,23 @@ fn pool_is_reused_across_sequential_calls() {
     // call.
     with_threads(8, || nassim_exec::par_map(&items, |x| x + 1));
     let warm = nassim_exec::pool_stats();
-    assert!(warm.workers >= 7, "pool should have spawned helpers: {warm:?}");
+    assert!(
+        warm.workers >= 7,
+        "pool should have spawned helpers: {warm:?}"
+    );
     for _ in 0..50 {
         let got = with_threads(4, || nassim_exec::par_map(&items, |x| x + 1));
         assert_eq!(got, want);
     }
     let after = nassim_exec::pool_stats();
-    assert_eq!(after.workers, warm.workers, "pool spawned new threads per call");
-    assert!(after.jobs >= warm.jobs + 50, "calls should route through the pool");
+    assert_eq!(
+        after.workers, warm.workers,
+        "pool spawned new threads per call"
+    );
+    assert!(
+        after.jobs >= warm.jobs + 50,
+        "calls should route through the pool"
+    );
 }
 
 #[test]

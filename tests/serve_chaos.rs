@@ -118,8 +118,7 @@ fn chaos_matrix_byte_parity_and_accounting() {
     // Fault-free baseline: the parity oracle. A fresh daemon over the
     // same shared state serves identical bytes, so each chaos run gets
     // its own daemon (and therefore clean counters).
-    let baseline_daemon =
-        ServeDaemon::spawn(Arc::clone(&state), ServeConfig::default()).unwrap();
+    let baseline_daemon = ServeDaemon::spawn(Arc::clone(&state), ServeConfig::default()).unwrap();
     let baseline = run_chaos(baseline_daemon.addr(), &script, None, &opts).unwrap();
     assert_eq!(baseline.outcomes.len(), script.len());
     for o in &baseline.outcomes {
@@ -175,11 +174,26 @@ fn chaos_matrix_byte_parity_and_accounting() {
         // Client-side burst accounting: every volley reply is ok or a
         // typed overload shed; nothing vanished.
         let bursts = count_kind(&injections, ServeFaultKind::Burst);
-        assert_eq!(report.burst_other, 0, "seed {seed}: unaccounted volley replies");
-        assert_eq!(report.burst_ok + report.burst_shed, bursts * opts.burst_size);
-        assert_eq!(report.disconnects_injected, count_kind(&injections, ServeFaultKind::Disconnect));
-        assert_eq!(report.malformed_injected, count_kind(&injections, ServeFaultKind::Malformed));
-        assert_eq!(report.deadline_injected, count_kind(&injections, ServeFaultKind::Deadline));
+        assert_eq!(
+            report.burst_other, 0,
+            "seed {seed}: unaccounted volley replies"
+        );
+        assert_eq!(
+            report.burst_ok + report.burst_shed,
+            bursts * opts.burst_size
+        );
+        assert_eq!(
+            report.disconnects_injected,
+            count_kind(&injections, ServeFaultKind::Disconnect)
+        );
+        assert_eq!(
+            report.malformed_injected,
+            count_kind(&injections, ServeFaultKind::Malformed)
+        );
+        assert_eq!(
+            report.deadline_injected,
+            count_kind(&injections, ServeFaultKind::Deadline)
+        );
 
         // The rude half-frame connections are noticed by their session
         // threads asynchronously; give the daemon a moment to account
@@ -197,11 +211,23 @@ fn chaos_matrix_byte_parity_and_accounting() {
         // exactly — every fault accounted, nothing else fired.
         let c = daemon.counters();
         assert_eq!(c.panics, 0, "seed {seed}: server handler panicked");
-        assert_eq!(c.malformed as usize, report.malformed_injected, "seed {seed}");
-        assert_eq!(c.disconnects as usize, report.disconnects_injected, "seed {seed}");
-        assert_eq!(c.deadline_expired as usize, report.deadline_injected, "seed {seed}");
+        assert_eq!(
+            c.malformed as usize, report.malformed_injected,
+            "seed {seed}"
+        );
+        assert_eq!(
+            c.disconnects as usize, report.disconnects_injected,
+            "seed {seed}"
+        );
+        assert_eq!(
+            c.deadline_expired as usize, report.deadline_injected,
+            "seed {seed}"
+        );
         assert_eq!(c.shed_overload as usize, report.burst_shed, "seed {seed}");
-        assert_eq!(c.shed_draining, 0, "seed {seed}: nothing drains in this run");
+        assert_eq!(
+            c.shed_draining, 0,
+            "seed {seed}: nothing drains in this run"
+        );
         let expected_served: usize = report
             .outcomes
             .iter()
@@ -224,9 +250,15 @@ fn chaos_matrix_byte_parity_and_accounting() {
                     assert!(*partial > 0);
                     ev_disconnect += 1;
                 }
-                ServeEvent::Shed { reason: ShedReason::DeadlineExpired, .. }
+                ServeEvent::Shed {
+                    reason: ShedReason::DeadlineExpired,
+                    ..
+                }
                 | ServeEvent::DeadlineExpired { .. } => ev_deadline += 1,
-                ServeEvent::Shed { reason: ShedReason::Overloaded, op } => {
+                ServeEvent::Shed {
+                    reason: ShedReason::Overloaded,
+                    op,
+                } => {
                     assert_eq!(op, "query-mapping");
                     ev_overload += 1;
                 }

@@ -47,7 +47,10 @@ fn drain_completes_in_flight_and_sheds_new_work() {
 
     // An idle connection opened (and used) before the drain starts.
     let mut idle = ServeClient::connect(addr).unwrap();
-    assert!(matches!(idle.request(&Request::Health).unwrap(), Reply::Ok(_)));
+    assert!(matches!(
+        idle.request(&Request::Health).unwrap(),
+        Reply::Ok(_)
+    ));
 
     // The in-flight request the drain must wait for.
     let sleeper = std::thread::spawn(move || {
@@ -73,7 +76,10 @@ fn drain_completes_in_flight_and_sheds_new_work() {
         let drainer = s.spawn(|| daemon.drain());
         let waiting = Instant::now();
         while !daemon.is_draining() {
-            assert!(waiting.elapsed() < Duration::from_secs(5), "drain never started");
+            assert!(
+                waiting.elapsed() < Duration::from_secs(5),
+                "drain never started"
+            );
             std::thread::yield_now();
         }
 
@@ -113,7 +119,10 @@ fn drain_completes_in_flight_and_sheds_new_work() {
     assert_eq!(daemon.generation(), 1, "drain bumps the generation once");
     let c = daemon.counters();
     assert_eq!(c.served, 1, "only the sleeper did admitted work");
-    assert!(c.shed_draining >= 2, "both drain-window requests shed: {c:?}");
+    assert!(
+        c.shed_draining >= 2,
+        "both drain-window requests shed: {c:?}"
+    );
     assert_eq!(c.panics, 0);
 
     let events = daemon.take_events();
@@ -180,7 +189,11 @@ fn warm_restart_serves_byte_identical_responses() {
     assert_eq!(cold.outcomes.len(), warm.outcomes.len());
     for (a, b) in cold.outcomes.iter().zip(&warm.outcomes) {
         assert!(matches!(a.reply, Reply::Ok(_)));
-        assert_eq!(a.raw, b.raw, "request {} diverged after warm restart", a.index);
+        assert_eq!(
+            a.raw, b.raw,
+            "request {} diverged after warm restart",
+            a.index
+        );
     }
     std::fs::remove_file(&path).ok();
 }
