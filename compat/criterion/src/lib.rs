@@ -2,8 +2,8 @@
 //!
 //! Provides the API surface the workspace's benches use — `Criterion`,
 //! `benchmark_group`, `bench_function`, `bench_with_input`, `Bencher::
-//! {iter, iter_batched}`, `Throughput`, `BenchmarkId`, `BatchSize` and
-//! the `criterion_group!`/`criterion_main!` macros — measuring with
+//! iter`, `Throughput`, `BenchmarkId` and the
+//! `criterion_group!`/`criterion_main!` macros — measuring with
 //! plain `Instant` timing: a short warm-up, then a fixed sample of
 //! iterations whose mean/min are printed per benchmark. No statistics,
 //! plots or comparisons, but enough to smoke-run every bench and read
@@ -12,31 +12,18 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-pub use std::hint::black_box;
-
-/// How `iter_batched` amortises setup; only a hint upstream, ignored here.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
-}
+use std::hint::black_box;
 
 /// Units processed per iteration; folded into the printed report.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     Elements(u64),
-    Bytes(u64),
 }
 
 /// A benchmark label built from a parameter.
 pub struct BenchmarkId(String);
 
 impl BenchmarkId {
-    pub fn new(name: impl fmt::Display, parameter: impl fmt::Display) -> BenchmarkId {
-        BenchmarkId(format!("{name}/{parameter}"))
-    }
-
     pub fn from_parameter(parameter: impl fmt::Display) -> BenchmarkId {
         BenchmarkId(parameter.to_string())
     }
@@ -59,12 +46,6 @@ impl IntoBenchmarkId for &str {
     }
 }
 
-impl IntoBenchmarkId for String {
-    fn into_id(self) -> String {
-        self
-    }
-}
-
 /// Collects per-iteration timings for one benchmark.
 pub struct Bencher {
     samples: Vec<Duration>,
@@ -84,20 +65,6 @@ impl Bencher {
         for _ in 0..self.iterations {
             let t = Instant::now();
             black_box(routine());
-            self.samples.push(t.elapsed());
-        }
-    }
-
-    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> O,
-    {
-        black_box(routine(setup())); // warm-up
-        for _ in 0..self.iterations {
-            let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
             self.samples.push(t.elapsed());
         }
     }
@@ -130,16 +97,8 @@ fn report(label: &str, samples: &[Duration], throughput: Option<Throughput>) {
         fmt_duration(min),
         samples.len()
     );
-    if let Some(tp) = throughput {
-        let per_sec = |units: u64| units as f64 / mean.as_secs_f64();
-        match tp {
-            Throughput::Elements(n) => {
-                line.push_str(&format!("  {:.0} elem/s", per_sec(n)));
-            }
-            Throughput::Bytes(n) => {
-                line.push_str(&format!("  {:.0} B/s", per_sec(n)));
-            }
-        }
+    if let Some(Throughput::Elements(n)) = throughput {
+        line.push_str(&format!("  {:.0} elem/s", n as f64 / mean.as_secs_f64()));
     }
     println!("{line}");
 }
@@ -257,7 +216,7 @@ mod tests {
         let mut ran = 0u32;
         group.bench_function("count", |b| b.iter(|| ran += 1));
         group.bench_with_input(BenchmarkId::from_parameter(7), &7u32, |b, x| {
-            b.iter_batched(|| *x, |v| v + 1, BatchSize::SmallInput)
+            b.iter(|| x + 1)
         });
         group.finish();
         assert!(ran >= 3, "iter ran {ran} times");

@@ -9,6 +9,8 @@
 //!
 //! Scale: ~10× smaller than the paper by default (minutes, not hours);
 //! set `NASSIM_SCALE=10` to approach paper-size models.
+//!
+//! Exits non-zero when any printed paper shape check is false.
 
 use nassim::deviceize::device_model_from_catalog;
 use nassim_bench::{construct_vendor, vendor_scale};
@@ -160,21 +162,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("paper shape check:");
-    println!(
-        "  - helix/norsk models are 10-100× larger than cirrus/h4c: {}",
-        columns[1].cli_view_pairs > 10 * columns[0].cli_view_pairs
-            && columns[2].cli_view_pairs > 10 * columns[3].cli_view_pairs
-    );
-    println!(
-        "  - CLI-view pairs exceed CLI commands for every vendor: {}",
-        columns.iter().all(|c| c.cli_view_pairs >= c.views)
-    );
-    println!(
-        "  - config matching ratio is 100% where corpora exist: {}",
-        columns
-            .iter()
-            .filter_map(|c| c.matching_ratio)
-            .all(|r| (r - 1.0).abs() < 1e-9)
-    );
+    let checks = [
+        (
+            "helix/norsk models are 10-100× larger than cirrus/h4c",
+            columns[1].cli_view_pairs > 10 * columns[0].cli_view_pairs
+                && columns[2].cli_view_pairs > 10 * columns[3].cli_view_pairs,
+        ),
+        (
+            "CLI-view pairs exceed CLI commands for every vendor",
+            columns.iter().all(|c| c.cli_view_pairs >= c.views),
+        ),
+        (
+            "config matching ratio is 100% where corpora exist",
+            columns
+                .iter()
+                .filter_map(|c| c.matching_ratio)
+                .all(|r| (r - 1.0).abs() < 1e-9),
+        ),
+    ];
+    for (name, ok) in &checks {
+        println!("  - {name}: {ok}");
+    }
+    let failed: Vec<&str> = checks
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(name, _)| *name)
+        .collect();
+    if !failed.is_empty() {
+        return Err(format!("paper shape checks failed: {}", failed.join(", ")).into());
+    }
     Ok(())
 }

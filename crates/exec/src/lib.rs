@@ -35,7 +35,7 @@ use std::sync::{Mutex, OnceLock};
 
 mod pool;
 
-pub use pool::{debug_poison_workers, in_parallel_region, pool_stats, PoolStats};
+pub use pool::{debug_poison_workers, pool_stats, PoolStats};
 
 /// Inputs shorter than this run serially: below it, spawn overhead
 /// dominates any possible win.

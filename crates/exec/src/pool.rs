@@ -43,7 +43,6 @@
 //! nothing, and pipeline lifetime == process lifetime everywhere this
 //! crate is used.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,22 +59,6 @@ const MAX_POOL_WORKERS: usize = 256;
 /// short critical sections that cannot be left half-written.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-thread_local! {
-    /// True while this thread is executing a pool chunk (worker or
-    /// helping caller). Lets callers avoid nested fan-out where the
-    /// outer level already saturates the pool (see `Mapper::recommend`).
-    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when called from inside a pool task (a worker thread running a
-/// chunk, or a submitting thread helping with its own job). Nested
-/// `par_map` calls from such a context are safe and deadlock-free, but a
-/// caller with a cheaper serial strategy can use this to skip fan-out
-/// the outer level has already paid for.
-pub fn in_parallel_region() -> bool {
-    IN_CHUNK.with(Cell::get)
 }
 
 /// Type-erased, lifetime-erased chunk runner. The pointee lives on the
@@ -132,7 +115,6 @@ impl Job {
     /// pointer.
     fn run_available(&self) {
         while let Some(ci) = self.claim() {
-            let was = IN_CHUNK.with(|c| c.replace(true));
             let result = catch_unwind(AssertUnwindSafe(|| {
                 // SAFETY: see above — a successful claim pins liveness.
                 let task = unsafe { &*self.task.0 };
@@ -143,9 +125,6 @@ impl Job {
                     None => task(ci),
                 }
             }));
-            // Restore (not clear): a helping caller may itself be inside
-            // an enclosing chunk.
-            IN_CHUNK.with(|c| c.set(was));
             let mut st = lock(&self.state);
             if let Err(payload) = result {
                 st.panics.push((ci, payload));

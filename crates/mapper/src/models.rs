@@ -22,34 +22,11 @@ use nassim_nlp::topk::TopK;
 use nassim_nlp::{BatchEncoder, Encoder, TfIdf, Vocab};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Texts per worker chunk when the default [`Embedder::embed_batch`] fans
 /// out: one embed is sub-millisecond, so chunks amortise spawn overhead.
 const EMBED_MIN_CHUNK: usize = 8;
-
-/// Minimum leaves per DL-scan shard: below this, per-query fan-out
-/// overhead beats the scan itself and the shard is folded into its
-/// neighbour. One leaf similarity is a handful of microseconds, so a
-/// shard represents a few hundred microseconds of work.
-const SHARD_MIN_LEAVES: usize = 192;
-
-/// Upper bound on DL-scan shards — beyond the widest realistic worker
-/// count, more shards only add merge work.
-const MAX_SHARDS: usize = 32;
-
-/// Contiguous equal-width shards over `n` leaf indices. Pure function of
-/// `n` alone — never of thread count — so a mapper's shard layout (and
-/// therefore its output) is identical on every machine.
-fn leaf_shards(n: usize) -> Vec<Range<usize>> {
-    let count = (n / SHARD_MIN_LEAVES).clamp(1, MAX_SHARDS);
-    let size = n.div_ceil(count).max(1);
-    (0..count)
-        .map(|s| s * size..((s + 1) * size).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
 
 /// Anything that turns one text into one vector.
 ///
@@ -421,15 +398,12 @@ impl MapperIndex {
 #[derive(Clone)]
 pub struct Mapper {
     pub(crate) index: Arc<MapperIndex>,
-    /// Contiguous leaf-index partitions for the parallel DL scan,
-    /// computed once at construction from the corpus size alone.
-    shards: Vec<Range<usize>>,
     strategy: Strategy,
     /// Optional Eq. 2 weight vector (length k_V × k_U).
     pub weights: Option<Vec<f32>>,
-    /// How the DL scan ranks candidates — `Exact` (the default) is the
-    /// byte-for-byte pre-existing sharded scan; the sub-linear modes live
-    /// in [`crate::retrieval`].
+    /// How the DL scan ranks candidates — `Exact` (the default) is
+    /// `dl_scan`'s full bounded-heap scan; the sub-linear modes live in
+    /// [`crate::retrieval`].
     pub(crate) retrieval: crate::retrieval::RetrievalMode,
     /// The quantized corpus + optional IVF index backing the sub-linear
     /// modes; `None` until a non-`Exact` mode is first enabled.
@@ -600,36 +574,13 @@ impl Mapper {
     }
 
     fn assemble(index: MapperIndex, strategy: Strategy) -> Mapper {
-        let shards = leaf_shards(index.leaves.len());
         Mapper {
             index: Arc::new(index),
-            shards,
             strategy,
             weights: None,
             retrieval: crate::retrieval::RetrievalMode::Exact,
             sublinear: None,
         }
-    }
-
-    /// How many shards the DL scan is partitioned into (1 = serial scan).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Re-partition the DL scan into exactly `count` shards (clamped to
-    /// `[1, leaf count]`). The default layout from construction is right
-    /// for production; this exists so benches can sweep shard widths and
-    /// tests can force the sharded path on small corpora. Results are
-    /// identical for every `count` — only the scan's parallel grain
-    /// changes.
-    pub fn set_shard_count(&mut self, count: usize) {
-        let n = self.index.leaves.len();
-        let count = count.clamp(1, n.max(1));
-        let size = n.div_ceil(count).max(1);
-        self.shards = (0..count)
-            .map(|s| s * size..((s + 1) * size).min(n))
-            .filter(|r| !r.is_empty())
-            .collect();
     }
 
     /// Pure information-retrieval mapper (TF-IDF).
@@ -796,45 +747,12 @@ impl Mapper {
             .collect()
     }
 
-    /// Full-corpus DL scan: per-shard bounded-heap partial top-k with
-    /// norm-bound early exit, merged into one global top-k.
-    ///
-    /// The sharded and serial paths return **identical** results: shard
-    /// prune thresholds are local (each shard's heap fills independently,
-    /// so its threshold is at most as aggressive as the global scan's at
-    /// the same point), pruning is sound per shard, surviving scores are
-    /// computed by the same arithmetic in the same per-leaf order, and
-    /// the final merge re-ranks under the same total order (descending
-    /// score, ties to the lower leaf index). Sharding therefore changes
-    /// wall-clock only, never output.
+    /// Full-corpus DL scan: one bounded-heap partial top-k over every
+    /// leaf in index order, with norm-bound early exit once the heap is
+    /// full. Ranks by descending score, ties to the lower leaf index.
     pub(crate) fn dl_scan(&self, ev: &NormalizedEmbedding, k: usize) -> Vec<(usize, f32)> {
-        // Fan out only when it can pay: multiple shards, multiple
-        // workers, and no enclosing parallel region already saturating
-        // the pool (mapper evaluation fans out per *case*; its inner
-        // scans run serial so cases don't fight over workers).
-        let fan_out = self.shards.len() > 1
-            && nassim_exec::threads() > 1
-            && !nassim_exec::in_parallel_region();
-        if !fan_out {
-            let all = 0..self.index.leaves.len();
-            return self.dl_scan_shard(ev, k, all).into_sorted_vec();
-        }
-        let partials = nassim_exec::par_map(&self.shards, |range| {
-            self.dl_scan_shard(ev, k, range.clone()).into_sorted_vec()
-        });
         let mut top = TopK::new(k);
-        for shard in partials {
-            for (i, s) in shard {
-                top.offer(i, s);
-            }
-        }
-        top.into_sorted_vec()
-    }
-
-    /// Scan one contiguous leaf range into a bounded top-k heap.
-    fn dl_scan_shard(&self, ev: &NormalizedEmbedding, k: usize, range: Range<usize>) -> TopK {
-        let mut top = TopK::new(k);
-        for i in range {
+        for i in 0..self.index.leaves.len() {
             let score = match top.prune_below() {
                 // Heap is full: a candidate provably below the current
                 // k-th score can be skipped unscored.
@@ -855,7 +773,7 @@ impl Mapper {
             };
             top.offer(i, score);
         }
-        top
+        top.into_sorted_vec()
     }
 }
 

@@ -69,8 +69,8 @@ const RERANK_MIN: usize = 32;
 /// How the DL scan ranks candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
-    /// The pre-existing sharded exact scan — the default; bit-identical
-    /// to the mapper's behaviour before sub-linear retrieval existed.
+    /// The exact full scan — the default; bit-identical to the mapper's
+    /// behaviour before sub-linear retrieval existed.
     #[default]
     Exact,
     /// Int8 quantized full scan + exact f32 rescore of the survivors.

@@ -1,9 +1,9 @@
 //! Differential properties of the retrieval modes.
 //!
 //! * `Exact` — the default, and the mode tier-1 runs under — must be
-//!   **bit-identical** to the pre-existing sharded DL scan for any
-//!   corpus, any `k`, any shard layout and any worker count, whether or
-//!   not a sub-linear index has been built.
+//!   **bit-identical** to the plain full DL scan for any corpus, any `k`
+//!   and any worker count, whether or not a sub-linear index has been
+//!   built.
 //! * `Quantized` and `Ann` trade exactness for speed, but only in
 //!   *candidate selection*: survivors are rescored by the exact f32
 //!   arithmetic, and on seeded corpora the documented recall@10 floors
@@ -19,9 +19,9 @@ use nassim_mapper::RetrievalMode;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Deterministic bag-of-words embedder (same idiom as
-/// `tests/shard_topk.rs`): cheap enough for hundreds of proptest cases,
-/// discriminative enough that top-k ordering is non-trivial.
+/// Deterministic bag-of-words embedder: cheap enough for hundreds of
+/// proptest cases, discriminative enough that top-k ordering is
+/// non-trivial (shared words → similar vectors → real score ties).
 struct HashEmbedder;
 impl Embedder for HashEmbedder {
     fn embed(&self, text: &str) -> Vec<f32> {
@@ -98,31 +98,28 @@ proptest! {
     /// The acceptance-criterion differential: `Exact` mode — even with a
     /// sub-linear index built and sitting on the mapper — recommends
     /// bit-identically to the pre-existing scan (a mapper that has never
-    /// heard of retrieval modes), for any corpus/k/shards/workers.
+    /// heard of retrieval modes), for any corpus/k/workers.
     #[test]
     fn exact_mode_is_bit_identical_to_the_plain_scan(
         leaves in 1usize..300,
         k in 0usize..24,
-        shard_count in 2usize..16,
         workers in 2usize..9,
         qword in 0usize..7,
     ) {
         let udm = udm_with_leaves(leaves);
         let q = query(&format!("the {} of the peer unit 3", WORDS[qword]));
 
-        // Reference: the untouched default mapper — serial, unsharded,
-        // no retrieval plumbing exercised.
-        let mut reference = Mapper::dl(&udm, Arc::new(HashEmbedder));
-        reference.set_shard_count(1);
+        // Reference: the untouched default mapper — one worker, no
+        // retrieval plumbing exercised.
+        let reference = Mapper::dl(&udm, Arc::new(HashEmbedder));
         prop_assert_eq!(reference.retrieval_mode(), RetrievalMode::Exact);
         let want = nassim_exec::with_threads(1, || reference.recommend(&q, k));
 
         // Candidate: index built (via a detour through Quantized), mode
-        // flipped back to Exact, forced sharding, parallel workers.
+        // flipped back to Exact, parallel workers.
         let mut candidate = Mapper::dl(&udm, Arc::new(HashEmbedder));
         candidate.set_retrieval_mode(RetrievalMode::Quantized);
         candidate.set_retrieval_mode(RetrievalMode::Exact);
-        candidate.set_shard_count(shard_count);
         let got = nassim_exec::with_threads(workers, || candidate.recommend(&q, k));
 
         prop_assert_eq!(got, want);

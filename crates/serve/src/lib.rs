@@ -2,7 +2,7 @@
 //!
 //! Assimilation-as-a-service: a long-running TCP daemon serving the
 //! NAssim artifacts — assimilated VDMs, the network-wide UDM and the §6
-//! Mapper's sharded DL index — over a typed line/JSON protocol, built
+//! Mapper's DL index — over a typed line/JSON protocol, built
 //! to keep its invariants under hostile load:
 //!
 //! * [`protocol`] — the wire format: `query-mapping`, `catalog` /

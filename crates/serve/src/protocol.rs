@@ -39,7 +39,7 @@ pub enum Request {
     /// Inspect one catalog vendor.
     Inspect { vendor: String },
     /// Rank UDM leaves for a VDM-parameter context (the §6 Mapper's
-    /// sharded DL scan).
+    /// exact DL scan).
     QueryMapping {
         sequences: Vec<String>,
         k: usize,

@@ -1,5 +1,5 @@
 //! The daemon's served artifacts: a catalog of assimilated VDMs, the
-//! network-wide UDM, and a [`Mapper`] (sharded DL scan) built through an
+//! network-wide UDM, and a [`Mapper`] (exact DL scan) built through an
 //! [`ArtifactStore`]'s embedding cache.
 //!
 //! [`ServeState::build`] assimilates each catalog vendor **through the
