@@ -58,51 +58,36 @@ pub struct VendorRun {
 pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimError> {
     let catalog = Catalog::with_scale(extra);
     let style = style::vendor(vendor)?;
-    let manual = manualgen::generate(
-        &style,
-        &catalog,
-        &GenOptions {
-            seed: SEED ^ fnv(vendor),
-            scale_extra: extra,
-            syntax_error_rate: 0.004,
-            ambiguity_rate: 0.03,
-            examples_per_page: 1,
-        },
-    );
     let parser = parser_for(vendor)?;
-    // The published-manual and corrected-manual pipelines are independent;
-    // run them as a two-way split.
-    let (assimilation, corrected) = nassim_exec::join2(
-        || {
-            assimilate(
-                parser.as_ref(),
-                manual
-                    .pages
-                    .iter()
-                    .map(|p| (p.url.as_str(), p.html.as_str())),
-            )
-        },
-        || {
-            let clean_manual = manualgen::generate(
+    // The published manual and its expert-corrected twin differ only in
+    // their defect rates; each is generated and assimilated independently.
+    let runs = nassim_exec::par_map(
+        &[(0.004, 0.03), (0.0, 0.0)],
+        |&(syntax_error_rate, ambiguity_rate)| {
+            let manual = manualgen::generate(
                 &style,
                 &catalog,
                 &GenOptions {
                     seed: SEED ^ fnv(vendor),
                     scale_extra: extra,
-                    syntax_error_rate: 0.0,
-                    ambiguity_rate: 0.0,
+                    syntax_error_rate,
+                    ambiguity_rate,
                     examples_per_page: 1,
                 },
             );
-            assimilate(
+            let assimilation = assimilate(
                 parser.as_ref(),
-                clean_manual
+                manual
                     .pages
                     .iter()
                     .map(|p| (p.url.as_str(), p.html.as_str())),
-            )
+            );
+            (manual, assimilation)
         },
     );
+    let Ok([(manual, assimilation), (_, corrected)]) = <[_; 2]>::try_from(runs) else {
+        unreachable!("par_map returns one output per input");
+    };
     // The paper has config corpora only for its two DC vendors.
     let config_corpus = if vendor == "helix" || vendor == "norsk" {
         let files = if vendor == "helix" { 20 } else { 41 };
@@ -180,7 +165,7 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
 
     // Construct both VDMs from their manuals (clean manuals: the mapping
     // phase consumes *validated* VDMs). The two vendors are independent —
-    // generate and assimilate them concurrently.
+    // each is generated and assimilated on its own.
     let build_vdm = |vendor: &str| -> Result<_, NassimError> {
         let style = style::vendor(vendor)?;
         let manual = manualgen::generate(
@@ -203,10 +188,10 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
         )?;
         Ok(a.build.vdm)
     };
-    let (helix_vdm, norsk_vdm) = nassim_exec::join2(|| build_vdm("helix"), || build_vdm("norsk"));
     let mut vdms = BTreeMap::new();
-    vdms.insert("helix", helix_vdm?);
-    vdms.insert("norsk", norsk_vdm?);
+    for (vendor, vdm) in nassim_exec::par_map(&["helix", "norsk"], |&v| (v, build_vdm(v))) {
+        vdms.insert(vendor, vdm?);
+    }
 
     // Annotations per vendor: (command_key, vendor token, udm path).
     let annotate =

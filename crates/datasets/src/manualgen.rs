@@ -168,7 +168,7 @@ pub fn generate(style: &VendorStyle, catalog: &Catalog, opts: &GenOptions) -> Ma
     // URL, so rendering is embarrassingly parallel and byte-identical to a
     // serial pass regardless of worker count.
     let rendered: Vec<(ManualPage, Option<InjectedDefect>)> =
-        nassim_exec::par_map_indexed_chunked(&catalog.commands, RENDER_MIN_CHUNK, |i, cmd| {
+        nassim_exec::par_map_chunked(&catalog.commands, RENDER_MIN_CHUNK, |i, cmd| {
             let url = format!("manual://{}/{}/{}", style.name, cmd.group, cmd.key);
             let mut rng = StdRng::seed_from_u64(opts.seed ^ fnv1a(&url));
 

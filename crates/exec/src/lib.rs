@@ -2,7 +2,7 @@
 //!
 //! A deliberately small, dependency-free fan-out primitive backed by a
 //! **persistent worker pool** (see [`pool`](crate::pool_stats)):
-//! [`par_map`] / [`par_map_indexed`] split the input into contiguous
+//! [`par_map`] and its variants split the input into contiguous
 //! chunks, push them onto a process-global injector where parked worker
 //! threads (plus the calling thread itself) claim and run them, and
 //! splice the per-chunk outputs back **in input order**. Because the
@@ -24,14 +24,14 @@
 //! 2. the `NASSIM_THREADS` environment variable,
 //! 3. `std::thread::available_parallelism()`.
 //!
-//! Inputs smaller than [`MIN_PARALLEL`] items, or a resolved worker
+//! Inputs smaller than `MIN_PARALLEL` (4) items, or a resolved worker
 //! count of 1, run inline on the calling thread with no pool traffic at
 //! all.
 
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 mod pool;
 
@@ -39,7 +39,7 @@ pub use pool::{debug_poison_workers, pool_stats, PoolStats};
 
 /// Inputs shorter than this run serially: below it, spawn overhead
 /// dominates any possible win.
-pub const MIN_PARALLEL: usize = 4;
+const MIN_PARALLEL: usize = 4;
 
 /// A worker failure isolated to one input item.
 ///
@@ -136,45 +136,24 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    par_map_with(items, 1, || (), move |(), _, t| f(t))
 }
 
-/// Map `f(index, item)` over `items` in parallel, preserving input order.
+/// Map `f(index, item)` over `items` in parallel with a minimum
+/// per-worker batch, preserving input order.
 ///
 /// `f` receives the item's index in the *original* slice, so per-item
 /// work that depends on position (seeded RNG streams, report labels)
 /// is identical whether one worker runs or sixteen.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_with(items, 1, || (), move |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with a minimum per-worker batch: each spawned worker is
-/// guaranteed at least `min_chunk` items, so cheap items amortize the
-/// thread-spawn cost instead of losing to it.
 ///
-/// The worker count resolves to `min(threads(), len / min_chunk)` (at
-/// least 1); with `min_chunk` chosen so that one chunk represents a few
-/// milliseconds of work, small inputs degrade gracefully to fewer workers
-/// — or straight to the inline serial path — instead of paying full
-/// fan-out overhead for microseconds of per-item work. The merge is the
-/// same index-ordered splice, so results are byte-identical to
-/// [`par_map`] and to a serial loop.
+/// Each worker is guaranteed at least `min_chunk` items, so cheap items
+/// amortize the fan-out cost instead of losing to it: the worker count
+/// resolves to `min(threads(), len / min_chunk)` (at least 1). With
+/// `min_chunk` chosen so that one chunk represents a few milliseconds of
+/// work, small inputs degrade gracefully to fewer workers — or straight
+/// to the inline serial path. The merge is the same index-ordered
+/// splice, so results are byte-identical to a serial loop.
 pub fn par_map_chunked<T, U, F>(items: &[T], min_chunk: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_with(items, min_chunk, || (), move |(), _, t| f(t))
-}
-
-/// [`par_map_indexed`] with the [`par_map_chunked`] min-batch heuristic.
-pub fn par_map_indexed_chunked<T, U, F>(items: &[T], min_chunk: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -309,131 +288,32 @@ fn reraise_with_index(index: usize, payload: Box<dyn std::any::Any + Send>) -> !
     resume_unwind(payload)
 }
 
-/// Map `f` over `items` in parallel with **per-item panic isolation**.
+/// Map `f` over `items` in parallel with **per-item panic isolation**
+/// and the [`par_map_chunked`] min-batch heuristic.
 ///
 /// Each call to `f` runs under `catch_unwind`, so one item that panics
 /// yields an `Err(`[`ExecError`]`)` in its slot instead of poisoning the
 /// whole join — the surviving items still return, in deterministic input
 /// order. This is the fan-out primitive for ingesting adversarial input:
 /// one pathological manual page must never abort the other thousand.
+/// Inputs that take the inline serial path keep the per-item
+/// `catch_unwind` — it is the semantic contract.
 ///
 /// `f` should be effectively panic-pure (no shared state left half
 /// mutated when it unwinds); the pipeline's page parsers take `&self` and
 /// build their output from scratch, which satisfies this trivially.
-///
-/// Uses a default min-chunk of [`ISOLATED_MIN_CHUNK`] items per chunk:
-/// tiny inputs take the inline serial path (per-item `catch_unwind`
-/// still applies — it is the semantic contract — but with zero fan-out
-/// machinery around it). Callers with unusually heavy items can use
-/// [`par_map_isolated_chunked`] with `min_chunk = 1` to fan out fully.
-pub fn par_map_isolated<T, U, F>(items: &[T], f: F) -> Vec<Result<U, ExecError>>
+pub fn par_map_isolated<T, U, F>(items: &[T], min_chunk: usize, f: F) -> Vec<Result<U, ExecError>>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_isolated_chunked(items, ISOLATED_MIN_CHUNK, f)
-}
-
-/// Default per-chunk amortisation floor for [`par_map_isolated`]: below
-/// this many items per would-be worker, the isolation wrapper runs
-/// inline instead of paying fan-out overhead.
-pub const ISOLATED_MIN_CHUNK: usize = 8;
-
-/// [`par_map_isolated`] with the [`par_map_chunked`] min-batch heuristic.
-pub fn par_map_isolated_chunked<T, U, F>(
-    items: &[T],
-    min_chunk: usize,
-    f: F,
-) -> Vec<Result<U, ExecError>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_indexed_chunked(items, min_chunk, |index, item| {
+    par_map_chunked(items, min_chunk, |index, item| {
         catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| ExecError {
             index,
             payload: payload_to_string(payload.as_ref()),
         })
     })
-}
-
-/// Map a fallible `f` over `items` in parallel; first error wins.
-///
-/// All items run to completion (the fan-out is not cancelled mid-flight);
-/// if any returned `Err`, the error of the **lowest-indexed** failing
-/// item is returned — the same error a serial loop with `?` would have
-/// hit first, keeping parallel and serial runs indistinguishable.
-pub fn try_par_map<T, U, E, F>(items: &[T], f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    let results: Vec<Result<U, E>> = par_map(items, f);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Run two independent tasks concurrently and return both results.
-///
-/// With one resolved worker this runs `a` then `b` inline; otherwise `b`
-/// is submitted to the pool as a one-chunk job while `a` runs on the
-/// caller — and if no pool worker picked `b` up by the time `a`
-/// finishes, the caller runs `b` itself (so `join2` never deadlocks,
-/// even when invoked from inside a pool worker that is the pool's only
-/// thread). Useful for coarse two-way splits — e.g. the defective and
-/// corrected assimilation pipelines in the bench fixtures — that
-/// `par_map`'s slice API does not fit.
-pub fn join2<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    if threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    // FnOnce moved in through an Option so whichever thread claims the
-    // single chunk takes it exactly once; the result travels back the
-    // same way.
-    let b_cell = Mutex::new(Some(b));
-    let rb_cell: Mutex<Option<B>> = Mutex::new(None);
-    let task = |_ci: usize| {
-        if let Some(bf) = pool::lock(&b_cell).take() {
-            let rb = bf();
-            *pool::lock(&rb_cell) = Some(rb);
-        }
-    };
-    let job = pool::submit(1, 1, &task);
-    // Catch `a` rather than unwinding past `finish_job`: the job borrows
-    // this stack frame, which must stay pinned until `b` completed.
-    let ra = catch_unwind(AssertUnwindSafe(a));
-    let panics = pool::finish_job(&job);
-    if let Some((_, payload)) = panics.into_iter().next() {
-        // Annotate so the caller sees which task died with the original
-        // message intact.
-        if payload.is::<String>() || payload.is::<&str>() {
-            let msg = payload_to_string(payload.as_ref());
-            std::panic::panic_any(format!("join2 second task panicked: {msg}"));
-        }
-        resume_unwind(payload);
-    }
-    let ra = ra.unwrap_or_else(|payload| resume_unwind(payload));
-    match rb_cell
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        Some(rb) => (ra, rb),
-        // The chunk completed without panicking, so the result was stored.
-        None => unreachable!("join2 task finished without a result or panic"),
-    }
 }
 
 #[cfg(test)]
@@ -451,15 +331,19 @@ mod tests {
     }
 
     #[test]
-    fn indexed_variant_sees_original_positions() {
+    fn chunked_map_sees_original_positions() {
         let items = vec!["a", "b", "c", "d", "e", "f", "g"];
-        let got = with_threads(3, || par_map_indexed(&items, |i, s| format!("{i}:{s}")));
         let want: Vec<String> = items
             .iter()
             .enumerate()
             .map(|(i, s)| format!("{i}:{s}"))
             .collect();
-        assert_eq!(got, want);
+        for min_chunk in [1, 2] {
+            let got = with_threads(3, || {
+                par_map_chunked(&items, min_chunk, |i, s| format!("{i}:{s}"))
+            });
+            assert_eq!(got, want, "min_chunk {min_chunk}");
+        }
     }
 
     #[test]
@@ -481,21 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn join2_returns_both_results_serial_and_parallel() {
-        for n in [1, 4] {
-            let (a, b) = with_threads(n, || join2(|| 6 * 7, || "ok".to_string()));
-            assert_eq!(a, 42);
-            assert_eq!(b, "ok");
-        }
-    }
-
-    #[test]
-    fn chunked_variants_match_serial_map() {
+    fn chunked_map_matches_serial_map() {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for min_chunk in [1, 7, 64, 1000] {
             for n in [1, 4, 16] {
-                let got = with_threads(n, || par_map_chunked(&items, min_chunk, |x| x * 3 + 1));
+                let got = with_threads(n, || par_map_chunked(&items, min_chunk, |_, x| x * 3 + 1));
                 assert_eq!(got, serial, "min_chunk {min_chunk}, {n} workers");
             }
         }
@@ -535,22 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_chunked_still_isolates_panics() {
-        let items: Vec<u32> = (0..40).collect();
-        let got = with_threads(4, || {
-            par_map_isolated_chunked(&items, 8, |&x| {
-                if x == 11 {
-                    panic!("boom");
-                }
-                x
-            })
-        });
-        assert_eq!(got.len(), items.len());
-        assert!(got[11].is_err());
-        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 39);
-    }
-
-    #[test]
     fn workers_more_than_items_is_fine() {
         let items: Vec<usize> = (0..5).collect();
         let got = with_threads(64, || par_map(&items, |x| x + 1));
@@ -559,24 +418,26 @@ mod tests {
 
     #[test]
     fn isolated_map_survives_panicking_items() {
-        let items: Vec<u32> = (0..20).collect();
-        for n in [1, 4] {
-            let got = with_threads(n, || {
-                par_map_isolated(&items, |&x| {
-                    if x % 7 == 3 {
-                        panic!("boom on {x}");
+        let items: Vec<u32> = (0..40).collect();
+        for min_chunk in [1, 8] {
+            for n in [1, 8] {
+                let got = with_threads(n, || {
+                    par_map_isolated(&items, min_chunk, |&x| {
+                        if x % 7 == 3 {
+                            panic!("boom on {x}");
+                        }
+                        x * 2
+                    })
+                });
+                assert_eq!(got.len(), items.len());
+                for (i, r) in got.iter().enumerate() {
+                    if i % 7 == 3 {
+                        let e = r.as_ref().expect_err("item should have panicked");
+                        assert_eq!(e.index, i);
+                        assert!(e.payload.contains(&format!("boom on {i}")), "{e}");
+                    } else {
+                        assert_eq!(*r, Ok(i as u32 * 2), "min_chunk {min_chunk}, {n} workers");
                     }
-                    x * 2
-                })
-            });
-            assert_eq!(got.len(), items.len());
-            for (i, r) in got.iter().enumerate() {
-                if i % 7 == 3 {
-                    let e = r.as_ref().expect_err("item should have panicked");
-                    assert_eq!(e.index, i);
-                    assert!(e.payload.contains(&format!("boom on {i}")), "{e}");
-                } else {
-                    assert_eq!(*r, Ok(i as u32 * 2));
                 }
             }
         }
@@ -584,15 +445,20 @@ mod tests {
 
     #[test]
     fn isolated_map_renders_non_string_payloads() {
-        let items = vec![0u8; 8];
-        let got = with_threads(2, || {
-            par_map_isolated(&items, |_| -> u8 { std::panic::panic_any(42u64) })
-        });
-        for r in got {
-            assert_eq!(
-                r.expect_err("all panic").payload,
-                "<non-string panic payload>"
-            );
+        let items = vec![0u8; 16];
+        for min_chunk in [1, 8] {
+            for n in [1, 8] {
+                let got = with_threads(n, || {
+                    par_map_isolated(&items, min_chunk, |_| -> u8 {
+                        std::panic::panic_any(42u64)
+                    })
+                });
+                for (i, r) in got.into_iter().enumerate() {
+                    let e = r.expect_err("all panic");
+                    assert_eq!(e.index, i);
+                    assert_eq!(e.payload, "<non-string panic payload>");
+                }
+            }
         }
     }
 
@@ -616,38 +482,5 @@ mod tests {
             .clone();
         assert!(msg.contains("item 17"), "missing index: {msg}");
         assert!(msg.contains("original message"), "payload lost: {msg}");
-    }
-
-    #[test]
-    fn join2_panic_is_annotated() {
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(4, || join2(|| 1u32, || -> u32 { panic!("task b died") }))
-        });
-        let payload = caught.expect_err("must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("string payload")
-            .clone();
-        assert!(msg.contains("join2 second task"), "{msg}");
-        assert!(msg.contains("task b died"), "{msg}");
-    }
-
-    #[test]
-    fn try_par_map_returns_lowest_index_error() {
-        let items: Vec<u32> = (0..50).collect();
-        for n in [1, 8] {
-            let got: Result<Vec<u32>, String> = with_threads(n, || {
-                try_par_map(&items, |&x| {
-                    if x == 31 || x == 9 {
-                        Err(format!("bad {x}"))
-                    } else {
-                        Ok(x)
-                    }
-                })
-            });
-            assert_eq!(got, Err("bad 9".to_string()), "{n} workers");
-        }
-        let ok: Result<Vec<u32>, String> = with_threads(4, || try_par_map(&items, |&x| Ok(x)));
-        assert_eq!(ok.expect("no errors").len(), items.len());
     }
 }

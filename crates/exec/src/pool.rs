@@ -23,9 +23,9 @@
 //!   own job has unclaimed chunks: it claims and runs them like any
 //!   worker, then sleeps only for chunks actively executing on other
 //!   threads. This makes nested submissions (a chunk that itself calls
-//!   `par_map`, or `join2` from inside a worker) deadlock-free by
-//!   induction: every claimed chunk is being executed by exactly one
-//!   live thread, and execution always terminates.
+//!   `par_map`) deadlock-free by induction: every claimed chunk is being
+//!   executed by exactly one live thread, and execution always
+//!   terminates.
 //! * **Determinism.** Chunk geometry is a pure function of
 //!   `(len, min_chunk, resolved worker count)` and every chunk writes a
 //!   disjoint, index-addressed output slot, so results are byte-identical
@@ -57,7 +57,7 @@ const MAX_POOL_WORKERS: usize = 256;
 
 /// Lock, recovering from poisoning: pool state is only mutated under
 /// short critical sections that cannot be left half-written.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -67,12 +67,12 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct RawTask(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` (shared execution from many threads is
 // its purpose) and the pointer is only dereferenced while the submitting
-// stack frame is pinned in `help_and_wait`.
+// stack frame is pinned in `run_job`.
 unsafe impl Send for RawTask {}
 unsafe impl Sync for RawTask {}
 
 /// One submitted fan-out: `chunks` calls of the erased task.
-pub(crate) struct Job {
+struct Job {
     task: RawTask,
     chunks: usize,
     /// Next unclaimed chunk index; claims past `chunks` are no-ops.
@@ -108,7 +108,7 @@ impl Job {
     /// Claim and run chunks until none are left to claim.
     ///
     /// SAFETY (of the internal raw deref): the submitting thread does not
-    /// return from [`help_and_wait`] until `finished == chunks`, and
+    /// return from [`run_job`] until `finished == chunks`, and
     /// `finished` is incremented only after a task call has fully
     /// returned or unwound. A claim that fails (`next >= chunks`) never
     /// dereferences the task, so no call site can observe a dangling
@@ -266,20 +266,12 @@ pub(crate) fn run_job(
     helpers: usize,
     task: &(dyn Fn(usize) + Sync),
 ) -> Vec<(usize, Payload)> {
-    let job = submit(chunks, helpers, task);
-    finish_job(&job)
-}
-
-/// Push a job into the injector and wake workers; the caller must
-/// eventually call [`finish_job`] on the returned handle (it owns the
-/// lifetime of `task`'s borrow).
-pub(crate) fn submit(chunks: usize, helpers: usize, task: &(dyn Fn(usize) + Sync)) -> Arc<Job> {
     let p = pool();
     ensure_workers(p, helpers);
     p.jobs.fetch_add(1, Ordering::Relaxed);
-    // Lifetime erasure: `task` borrows the caller's stack; `finish_job`
-    // pins that frame until every chunk completed (see Job::run_available
-    // SAFETY).
+    // SAFETY: lifetime erasure only. `task` borrows the caller's stack,
+    // and this frame does not return before `wait_done` saw every chunk
+    // finish (see `Job::run_available`).
     let raw = RawTask(unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
             as *const _
@@ -300,20 +292,16 @@ pub(crate) fn submit(chunks: usize, helpers: usize, task: &(dyn Fn(usize) + Sync
         q.push_back(Item::Job(job.clone()));
     }
     p.work.notify_all();
-    job
-}
 
-/// Help-run the job's remaining chunks, wait for stragglers, unlink the
-/// job from the injector and return its panic records sorted by chunk.
-pub(crate) fn finish_job(job: &Arc<Job>) -> Vec<(usize, Payload)> {
+    // Help-run the remaining chunks, wait for stragglers, then unlink
+    // the job from the injector.
     job.run_available();
     job.wait_done();
-    let p = pool();
     {
         let mut q = lock(&p.injector);
         if let Some(i) = q
             .iter()
-            .position(|it| matches!(it, Item::Job(j) if Arc::ptr_eq(j, job)))
+            .position(|it| matches!(it, Item::Job(j) if Arc::ptr_eq(j, &job)))
         {
             q.remove(i);
         }

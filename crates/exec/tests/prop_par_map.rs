@@ -5,7 +5,7 @@
 // assertion mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use nassim_exec::{par_map, par_map_indexed, with_threads};
+use nassim_exec::{par_map, par_map_chunked, with_threads};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,12 +35,13 @@ proptest! {
     }
 
     #[test]
-    fn par_map_indexed_sees_original_positions(
+    fn par_map_chunked_sees_original_positions(
         len in 0usize..150,
         workers in 1usize..16,
+        min_chunk in 1usize..20,
     ) {
         let items: Vec<usize> = (100..100 + len).collect();
-        let got = with_threads(workers, || par_map_indexed(&items, |i, &x| (i, x)));
+        let got = with_threads(workers, || par_map_chunked(&items, min_chunk, |i, &x| (i, x)));
         prop_assert_eq!(got.len(), len);
         for (i, &(gi, gx)) in got.iter().enumerate() {
             prop_assert_eq!(gi, i);

@@ -45,7 +45,7 @@ pub fn evaluate(mapper: &Mapper, cases: &[EvalCase], ks: &[usize]) -> EvalReport
     let max_k = ks.iter().copied().max().unwrap_or(10);
     let ctx_refs: Vec<&Context> = cases.iter().map(|c| &c.context).collect();
     let prepared = mapper.prepare_queries(&ctx_refs);
-    let ranks: Vec<Option<usize>> = nassim_exec::par_map_indexed_chunked(&prepared, 4, |i, q| {
+    let ranks: Vec<Option<usize>> = nassim_exec::par_map_chunked(&prepared, 4, |i, q| {
         let recs = mapper.recommend_prepared(q, max_k);
         recs.iter().position(|&(leaf, _)| leaf == cases[i].truth)
     });

@@ -44,7 +44,7 @@ pub trait Embedder: Send + Sync {
     /// [`BatchEncoder`] overrides it with shared parameter preparation,
     /// in-batch deduplication and the LRU embedding memo.
     fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        nassim_exec::par_map_chunked(texts, EMBED_MIN_CHUNK, |t| self.embed(t))
+        nassim_exec::par_map_chunked(texts, EMBED_MIN_CHUNK, |_, t| self.embed(t))
     }
 }
 
@@ -854,7 +854,7 @@ fn weight_score_embedded(
     // Rank with the candidate weights — a pruned argmax scan per case
     // (top-1 of the same ordering the old full sort produced), chunked
     // across workers.
-    let case_hits = nassim_exec::par_map_indexed_chunked(validation, 4, |qi, (_, truth)| {
+    let case_hits = nassim_exec::par_map_chunked(validation, 4, |qi, (_, truth)| {
         let ev = &queries[qi];
         let mut top = TopK::new(1);
         for i in 0..mapper.index.leaves.len() {

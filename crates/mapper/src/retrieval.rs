@@ -155,7 +155,8 @@ fn pooled_corpus(embeddings: &[Arc<NormalizedEmbedding>]) -> Option<(Vec<Vec<f32
     {
         return None;
     }
-    let pooled = nassim_exec::par_map_chunked(embeddings, BUILD_MIN_CHUNK, |e| e.pooled_scaled());
+    let pooled =
+        nassim_exec::par_map_chunked(embeddings, BUILD_MIN_CHUNK, |_, e| e.pooled_scaled());
     Some((pooled, dim, ku))
 }
 
@@ -203,7 +204,7 @@ impl SublinearIndex {
         let n = pooled.len();
         let quant = Quantizer::fit(pooled.iter().map(Vec::as_slice), dim);
         let code_rows =
-            nassim_exec::par_map_chunked(&pooled, BUILD_MIN_CHUNK, |row| quant.encode(row));
+            nassim_exec::par_map_chunked(&pooled, BUILD_MIN_CHUNK, |_, row| quant.encode(row));
         let mut codes = Vec::with_capacity(n * dim);
         for row in code_rows {
             codes.extend_from_slice(&row);
@@ -292,7 +293,7 @@ impl IvfIndex {
             normalize(slot);
         }
         for _ in 0..LLOYD_ITERS {
-            let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |row| {
+            let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |_, row| {
                 nearest_centroid(&centroids, dim, nlist, row)
             });
             // Serial accumulation in leaf order: deterministic means.
@@ -317,7 +318,7 @@ impl IvfIndex {
             }
         }
         // Final assignment against the converged centroids.
-        let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |row| {
+        let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |_, row| {
             nearest_centroid(&centroids, dim, nlist, row)
         });
         let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); nlist];

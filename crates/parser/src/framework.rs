@@ -386,7 +386,7 @@ pub fn page_records(
     pages: &[(&str, &str)],
     budget: &IngestBudget,
 ) -> Vec<PageRecord> {
-    let per_page = nassim_exec::par_map_isolated_chunked(pages, PARSE_MIN_CHUNK, |&(url, html)| {
+    let per_page = nassim_exec::par_map_isolated(pages, PARSE_MIN_CHUNK, |&(url, html)| {
         page_record(parser, url, html, budget)
     });
     pages

@@ -790,6 +790,53 @@ enum SubmitOutcome {
     },
 }
 
+/// The per-stage gate of one submit pipeline run: every stage passes
+/// through the same deadline check → progress → stage → persist step.
+struct StagedRun<'a, P> {
+    deadline: &'a Deadline,
+    store: &'a mut ArtifactStore,
+    journal: Option<(&'a JobJournal, &'a str)>,
+    progress: P,
+}
+
+impl<P: FnMut(&str) -> io::Result<()>> StagedRun<'_, P> {
+    /// Run one stage: `run` returns the stage output and the corpus key
+    /// its journal record carries. `Ok(Err(outcome))` ends the pipeline
+    /// short of `Done`: the deadline expired, or the stage or its
+    /// persist failed.
+    fn step<R>(
+        &mut self,
+        stage: &'static str,
+        run: impl FnOnce(&mut ArtifactStore) -> Result<(R, u64), NassimError>,
+    ) -> io::Result<Result<R, SubmitOutcome>> {
+        if let Err(message) = self.deadline.check(stage) {
+            return Ok(Err(SubmitOutcome::Expired { stage, message }));
+        }
+        (self.progress)(stage)?;
+        let out = run(self.store).and_then(|(out, key)| self.persist(stage, key).map(|()| out));
+        Ok(out.map_err(|err| SubmitOutcome::PersistFailed { stage, err }))
+    }
+
+    /// Persist one completed stage: save the store atomically, then
+    /// journal the stage record. Skipped when the stage is already
+    /// durable (recovery re-runs the pipeline; completed stages are
+    /// cache hits and must not duplicate their records).
+    fn persist(&self, stage: &'static str, key: u64) -> Result<(), NassimError> {
+        let Some((journal, job)) = self.journal else {
+            return Ok(());
+        };
+        if journal.job(job).is_some_and(|s| s.has_stage(stage)) {
+            return Ok(());
+        }
+        self.store.save(&journal.job_store_path(job))?;
+        journal.append(&JournalRecord::Stage {
+            job: job.to_string(),
+            stage: stage.to_string(),
+            key: format!("{key:016x}"),
+        })
+    }
+}
+
 /// The staged §4–§5 pipeline run through an [`ArtifactStore`]: one
 /// progress call and one deadline check per stage, and — when a journal
 /// context is supplied — an atomic store save plus a fsynced stage
@@ -805,110 +852,55 @@ fn run_submit_pipeline(
     deadline: &Deadline,
     store: &mut ArtifactStore,
     journal: Option<(&JobJournal, &str)>,
-    mut progress: impl FnMut(&str) -> io::Result<()>,
+    progress: impl FnMut(&str) -> io::Result<()>,
 ) -> io::Result<SubmitOutcome> {
     let budget = IngestBudget::default();
     let refs: Vec<(&str, &str)> = pages
         .iter()
         .map(|(u, h)| (u.as_str(), h.as_str()))
         .collect();
-
-    // Persist one completed stage: save the store atomically, then
-    // journal the stage record. Skipped when the stage is already
-    // durable (recovery re-runs the pipeline; completed stages are
-    // cache hits and must not duplicate their records).
-    let persist =
-        |store: &ArtifactStore, stage: &'static str, key: u64| -> Result<(), NassimError> {
-            let Some((journal, job)) = journal else {
-                return Ok(());
-            };
-            if journal.job(job).is_some_and(|s| s.has_stage(stage)) {
-                return Ok(());
-            }
-            store.save(&journal.job_store_path(job))?;
-            journal.append(&JournalRecord::Stage {
-                job: job.to_string(),
-                stage: stage.to_string(),
-                key: format!("{key:016x}"),
-            })
-        };
+    let mut run = StagedRun {
+        deadline,
+        store,
+        journal,
+        progress,
+    };
 
     // Stage 1: parse every page (panic-isolated parser fan-out; cached
-    // pages are artifact-store hits).
-    if let Err(message) = deadline.check("parse") {
-        return Ok(SubmitOutcome::Expired {
-            stage: "parse",
-            message,
-        });
-    }
-    progress("parse")?;
-    let (parse, page_keys) = match store.parse_stage(parser, refs, &budget) {
+    // pages are artifact-store hits). Its error is unreachable in
+    // practice (the protocol rejects empty `pages`), but typed rather
+    // than assumed.
+    let (parse, page_keys, ckey) = match run.step("parse", |store| {
+        let (parse, page_keys) = store.parse_stage(parser, refs, &budget)?;
+        let ckey = corpus_key(&page_keys);
+        Ok(((parse, page_keys, ckey), ckey))
+    })? {
         Ok(out) => out,
-        // Unreachable in practice (the protocol rejects empty `pages`),
-        // but typed rather than assumed.
-        Err(err) => {
-            return Ok(SubmitOutcome::PersistFailed {
-                stage: "parse",
-                err,
-            })
-        }
+        Err(halt) => return Ok(halt),
     };
-    let ckey = corpus_key(&page_keys);
-    if let Err(err) = persist(store, "parse", ckey) {
-        return Ok(SubmitOutcome::PersistFailed {
-            stage: "parse",
-            err,
-        });
-    }
-
     // Stage 2: formal syntax audit.
-    if let Err(message) = deadline.check("syntax") {
-        return Ok(SubmitOutcome::Expired {
-            stage: "syntax",
-            message,
-        });
-    }
-    progress("syntax")?;
-    let syntax = store.syntax_stage(&parse);
-    if let Err(err) = persist(store, "syntax", ckey) {
-        return Ok(SubmitOutcome::PersistFailed {
-            stage: "syntax",
-            err,
-        });
-    }
-
+    let syntax = match run.step("syntax", |store| Ok((store.syntax_stage(&parse), ckey)))? {
+        Ok(out) => out,
+        Err(halt) => return Ok(halt),
+    };
     // Stage 3: hierarchy derivation (compiled CGM graphs and evidence
     // are store-cached, so a resumed job replays them from disk).
-    if let Err(message) = deadline.check("hierarchy") {
-        return Ok(SubmitOutcome::Expired {
-            stage: "hierarchy",
-            message,
-        });
-    }
-    progress("hierarchy")?;
-    let derivation = store.hierarchy_stage(&parse, &page_keys);
-    if let Err(err) = persist(store, "hierarchy", ckey) {
-        return Ok(SubmitOutcome::PersistFailed {
-            stage: "hierarchy",
-            err,
-        });
-    }
-
+    let derivation = match run.step("hierarchy", |store| {
+        Ok((store.hierarchy_stage(&parse, &page_keys), ckey))
+    })? {
+        Ok(out) => out,
+        Err(halt) => return Ok(halt),
+    };
     // Stage 4: VDM assembly.
-    if let Err(message) = deadline.check("build") {
-        return Ok(SubmitOutcome::Expired {
-            stage: "build",
-            message,
-        });
-    }
-    progress("build")?;
-    let build = store.build_stage(vendor, &parse, &page_keys, &derivation);
-    if let Err(err) = persist(store, "build", ckey) {
-        return Ok(SubmitOutcome::PersistFailed {
-            stage: "build",
-            err,
-        });
-    }
+    let build = match run.step("build", |store| {
+        Ok((
+            store.build_stage(vendor, &parse, &page_keys, &derivation),
+            ckey,
+        ))
+    })? {
+        Ok(out) => out,
+        Err(halt) => return Ok(halt),
+    };
 
     let diagnostics = parse.diagnostics.len() + build.diagnostics(&parse.pages).len();
     Ok(SubmitOutcome::Done(Value::Obj(vec![
@@ -944,26 +936,37 @@ fn run_submit_pipeline(
 
 /// Load a job's persisted store, salvaging what a crash mid-save left
 /// behind; every salvage report is an accounted event.
-fn load_job_store(ctx: &ConnCtx, journal: &JobJournal, job: &str) -> ArtifactStore {
+fn load_job_store(events: &Mutex<EventLog>, journal: &JobJournal, job: &str) -> ArtifactStore {
     let path = journal.job_store_path(job);
     if !path.exists() {
         return ArtifactStore::new();
     }
     match ArtifactStore::load_lossy(&path) {
         Ok((store, diags)) => {
-            let mut log = ctx.events.lock();
+            let mut log = events.lock();
             for d in diags {
                 log.push(ServeEvent::DurabilityDegraded { detail: d.message });
             }
             store
         }
         Err(e) => {
-            ctx.events.lock().push(ServeEvent::DurabilityDegraded {
+            events.lock().push(ServeEvent::DurabilityDegraded {
                 detail: format!("job `{job}` store unusable, recomputing from journal: {e}"),
             });
             ArtifactStore::new()
         }
     }
+}
+
+/// Journal a job's final payload, then drop its now-redundant store.
+/// The reply is durable before any client can see it.
+fn commit_done(journal: &JobJournal, job: &str, result: Value) -> Result<(), NassimError> {
+    journal.append(&JournalRecord::Done {
+        job: job.to_string(),
+        result,
+    })?;
+    journal.remove_job_store(job);
+    Ok(())
 }
 
 /// `submit-manual`: the staged pipeline, optionally journaled. Without
@@ -1053,7 +1056,7 @@ fn submit_manual(
     };
 
     let mut store = match &journal_ctx {
-        Some((journal, id)) => load_job_store(ctx, journal, id),
+        Some((journal, id)) => load_job_store(&ctx.events, journal, id),
         None => ArtifactStore::new(),
     };
     let outcome = run_submit_pipeline(
@@ -1082,13 +1085,9 @@ fn submit_manual(
                 // The reply is durable before the client can see it; a
                 // kill between fsync and send re-serves it from the
                 // journal, byte-identically.
-                if let Err(e) = journal.append(&JournalRecord::Done {
-                    job: id.clone(),
-                    result: payload.clone(),
-                }) {
+                if let Err(e) = commit_done(journal, id, payload.clone()) {
                     return write_line(writer, &durability_err(ctx, "done", &e).to_line());
                 }
-                journal.remove_job_store(id);
             }
             // Count before writing: a client that has read the final
             // frame must already see this request in `served`.
@@ -1182,25 +1181,7 @@ fn recover_pending_jobs(
                 continue;
             }
         };
-        let store_path = journal.job_store_path(&job);
-        let mut store = if store_path.exists() {
-            match ArtifactStore::load_lossy(&store_path) {
-                Ok((store, diags)) => {
-                    for d in diags {
-                        degrade(d.message);
-                    }
-                    store
-                }
-                Err(e) => {
-                    degrade(format!(
-                        "job `{job}` store unusable, recomputing from journal: {e}"
-                    ));
-                    ArtifactStore::new()
-                }
-            }
-        } else {
-            ArtifactStore::new()
-        };
+        let mut store = load_job_store(events, journal, &job);
         // Recovery runs off the request clock: the original deadline
         // bounded the interactive reply, which was already forfeited by
         // the crash.
@@ -1214,19 +1195,13 @@ fn recover_pending_jobs(
             |_| Ok(()),
         );
         match outcome {
-            Ok(SubmitOutcome::Done(result)) => {
-                match journal.append(&JournalRecord::Done {
-                    job: job.clone(),
-                    result,
-                }) {
-                    Ok(()) => {
-                        journal.remove_job_store(&job);
-                        counters.jobs_recovered.fetch_add(1, Ordering::Relaxed);
-                        events.lock().push(ServeEvent::JobRecovered { job });
-                    }
-                    Err(e) => degrade(format!("recovered job `{job}` could not journal: {e}")),
+            Ok(SubmitOutcome::Done(result)) => match commit_done(journal, &job, result) {
+                Ok(()) => {
+                    counters.jobs_recovered.fetch_add(1, Ordering::Relaxed);
+                    events.lock().push(ServeEvent::JobRecovered { job });
                 }
-            }
+                Err(e) => degrade(format!("recovered job `{job}` could not journal: {e}")),
+            },
             Ok(SubmitOutcome::Expired { stage, .. }) => {
                 degrade(format!(
                     "recovery of job `{job}` expired at `{stage}` despite unbounded deadline"

@@ -27,7 +27,7 @@ use nassim_syntax::parse_template;
 use nassim_syntax::template::CliStruc;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -309,7 +309,7 @@ impl CorpusGraphs {
     /// build exactly.
     pub fn build<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> CorpusGraphs {
         let per_page: Vec<Arc<PageGraphs>> =
-            nassim_exec::par_map_chunked(pages, CGM_MIN_CHUNK, |page| {
+            nassim_exec::par_map_chunked(pages, CGM_MIN_CHUNK, |_, page| {
                 Arc::new(compile_page_graphs(page.borrow()))
             });
         CorpusGraphs::assemble(per_page)
@@ -347,7 +347,7 @@ impl CorpusGraphs {
             }
         }
         let compiled: Vec<Arc<PageGraphs>> =
-            nassim_exec::par_map_chunked(&to_compile, CGM_MIN_CHUNK, |&i| {
+            nassim_exec::par_map_chunked(&to_compile, CGM_MIN_CHUNK, |_, &i| {
                 Arc::new(compile_page_graphs(pages[i].borrow()))
             });
         for (&i, artifact) in to_compile.iter().zip(compiled) {
@@ -701,7 +701,7 @@ pub fn derive_hierarchy_cached<P: Borrow<ParsedPage> + Sync>(
     evidence.hits += pages.len() - missing.len();
     evidence.misses += missing.len();
     let fresh: Vec<Arc<PageEvidence>> =
-        nassim_exec::par_map_chunked(&missing, EVIDENCE_MIN_CHUNK, |&i| {
+        nassim_exec::par_map_chunked(&missing, EVIDENCE_MIN_CHUNK, |_, &i| {
             Arc::new(collect_page_evidence(i, pages[i].borrow(), &corpus))
         });
     for (&i, ev) in missing.iter().zip(fresh) {
@@ -807,7 +807,7 @@ fn derive_from_graphs<P: Borrow<ParsedPage> + Sync>(
     // batched so cheap pages amortise the fan-out cost (unbatched, this
     // stage ran at 0.64× serial — the overhead outweighed the work).
     let evidence: Vec<PageEvidence> =
-        nassim_exec::par_map_indexed_chunked(pages, EVIDENCE_MIN_CHUNK, |pi, page| {
+        nassim_exec::par_map_chunked(pages, EVIDENCE_MIN_CHUNK, |pi, page| {
             collect_page_evidence(pi, page.borrow(), corpus)
         });
     fold_evidence(pages, evidence.iter(), cgm_build_time, t1)
@@ -862,12 +862,14 @@ fn fold_evidence<'a, P: Borrow<ParsedPage>>(
             });
         }
     }
-    // Views referenced as working views but never derived and not roots.
+    // Views referenced as working views but never derived and not roots,
+    // each flagged once, in first-reference order.
+    let mut no_evidence: HashSet<&str> = HashSet::new();
     for page in pages {
         for view in &page.borrow().entry.parent_views {
             if !openers.contains_key(view)
                 && !root_votes.contains_key(view)
-                && !ambiguous.iter().any(|a| &a.view == view)
+                && no_evidence.insert(view)
             {
                 ambiguous.push(AmbiguousView {
                     view: view.clone(),

@@ -92,7 +92,7 @@ const AUDIT_MIN_CHUNK: usize = 64;
 /// page order, so the failure list is identical to a serial sweep.
 pub fn audit_corpus<P: Borrow<ParsedPage> + Sync>(pages: &[P]) -> SyntaxAudit {
     let per_page: Vec<PageSyntax> =
-        nassim_exec::par_map_chunked(pages, AUDIT_MIN_CHUNK, |p| audit_page(p.borrow()));
+        nassim_exec::par_map_chunked(pages, AUDIT_MIN_CHUNK, |_, p| audit_page(p.borrow()));
     fold_page_syntax(per_page.iter())
 }
 
@@ -124,7 +124,7 @@ pub fn syntax_key(page: &ParsedPage) -> u64 {
 /// template the audit rejects is parsed again, so which templates get a
 /// graph is exactly what [`crate::compile_graphs`] decides.
 pub fn audit_misses(misses: &[(&ParsedPage, bool)]) -> Vec<(PageSyntax, Option<PageGraphs>)> {
-    nassim_exec::par_map_chunked(misses, AUDIT_MIN_CHUNK, |&(page, compile)| {
+    nassim_exec::par_map_chunked(misses, AUDIT_MIN_CHUNK, |_, &(page, compile)| {
         if !compile {
             return (audit_page(page), None);
         }

@@ -117,22 +117,15 @@ fn every_combinator_is_identical_at_1_and_8_threads() {
     let parallel_map = with_threads(8, || nassim_exec::par_map(&items, |x| x * x + 7));
     assert_eq!(serial_map, parallel_map);
 
-    let serial_idx = with_threads(1, || {
-        nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x)
-    });
-    let parallel_idx = with_threads(8, || {
-        nassim_exec::par_map_indexed(&items, |i, x| (i as u64) * 1000 + x)
-    });
-    assert_eq!(serial_idx, parallel_idx);
-
     for min_chunk in [1, 16, 100] {
-        let s = with_threads(1, || {
-            nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD)
-        });
-        let p = with_threads(8, || {
-            nassim_exec::par_map_chunked(&items, min_chunk, |x| x ^ 0xABCD)
-        });
-        assert_eq!(s, p, "min_chunk {min_chunk}");
+        let chunked = |threads: usize| {
+            with_threads(threads, || {
+                nassim_exec::par_map_chunked(&items, min_chunk, |i, x| {
+                    (i as u64) * 1000 + (x ^ 0xABCD)
+                })
+            })
+        };
+        assert_eq!(chunked(1), chunked(8), "min_chunk {min_chunk}");
     }
 
     let s = with_threads(1, || {
@@ -149,43 +142,20 @@ fn every_combinator_is_identical_at_1_and_8_threads() {
     });
     assert_eq!(s, p);
 
-    let s = with_threads(1, || {
-        nassim_exec::par_map_isolated(
-            &items,
-            |&x| if x % 97 == 13 { panic!("boom {x}") } else { x },
-        )
-    });
-    let p = with_threads(8, || {
-        nassim_exec::par_map_isolated(
-            &items,
-            |&x| if x % 97 == 13 { panic!("boom {x}") } else { x },
-        )
-    });
-    assert_eq!(s, p);
-
-    let s: Result<Vec<u64>, String> = with_threads(1, || {
-        nassim_exec::try_par_map(&items, |&x| {
-            if x == 301 {
-                Err(format!("bad {x}"))
-            } else {
-                Ok(x)
-            }
-        })
-    });
-    let p: Result<Vec<u64>, String> = with_threads(8, || {
-        nassim_exec::try_par_map(&items, |&x| {
-            if x == 301 {
-                Err(format!("bad {x}"))
-            } else {
-                Ok(x)
-            }
-        })
-    });
-    assert_eq!(s, p);
-
-    let s = with_threads(1, || nassim_exec::join2(|| 6 * 7, || "pool".to_string()));
-    let p = with_threads(8, || nassim_exec::join2(|| 6 * 7, || "pool".to_string()));
-    assert_eq!(s, p);
+    for min_chunk in [1, 8] {
+        let isolated = |threads: usize| {
+            with_threads(threads, || {
+                nassim_exec::par_map_isolated(&items, min_chunk, |&x| {
+                    if x % 97 == 13 {
+                        panic!("boom {x}")
+                    } else {
+                        x
+                    }
+                })
+            })
+        };
+        assert_eq!(isolated(1), isolated(8), "min_chunk {min_chunk}");
+    }
 }
 
 #[test]
